@@ -141,14 +141,15 @@ void BM_SweepRunner_Throughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepRunner_Throughput)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// Fast-forward speedup pairs: a whole run() call, stepped (Arg 0) vs
-// event-horizon cycle skipping (Arg 1), on meshes with long quiescent
-// stretches. These are the ratios bench/check_perf_regression.py gates via
-// the "fast_forward_gates" entries in BENCH_hotpath.json: both sides run
-// fresh on the same machine, so no yardstick calibration is involved —
-// the pair must keep a minimum speedup, not an absolute time.
+// Scheduler speedup pairs: a whole run() call, stepped (Arg 0) vs the
+// active-set engine (Arg 1), on meshes with long idle stretches. These are
+// the ratios bench/check_perf_regression.py gates via the
+// "fast_forward_gates" entries in BENCH_hotpath.json: both sides run fresh
+// on the same machine, so no yardstick calibration is involved — the pair
+// must keep a minimum speedup, not an absolute time.
 void BM_NetworkRun_IdleSensorWise(benchmark::State& state) {
-  const bool fast_forward = state.range(0) != 0;
+  const noc::SchedulerMode mode =
+      state.range(0) != 0 ? noc::SchedulerMode::kActiveSet : noc::SchedulerMode::kStepped;
   for (auto _ : state) {
     noc::Network net(mesh_config(4, 4));
     const auto model = nbti::NbtiModel::calibrated({}, {});
@@ -156,33 +157,13 @@ void BM_NetworkRun_IdleSensorWise(benchmark::State& state) {
     pc.kind = core::PolicyKind::kSensorWise;
     core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
     ctrl.attach();
-    net.set_fast_forward(fast_forward);
+    net.set_scheduler_mode(mode);
     net.run(20'000);
     benchmark::DoNotOptimize(net.skip_stats().skips);
   }
   state.SetItemsProcessed(state.iterations() * 20'000);
 }
 BENCHMARK(BM_NetworkRun_IdleSensorWise)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_NetworkRun_LowLoadSensorWise(benchmark::State& state) {
-  const bool fast_forward = state.range(0) != 0;
-  for (auto _ : state) {
-    noc::Network net(mesh_config(4, 4));
-    const auto model = nbti::NbtiModel::calibrated({}, {});
-    core::PolicyConfig pc;
-    pc.kind = core::PolicyKind::kSensorWise;
-    core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
-    ctrl.attach();
-    // Sparse traffic: packets are hundreds of cycles apart, so most of the
-    // run is quiescent gap — the regime lifetime studies live in.
-    traffic::install_uniform_traffic(net, 0.0005, 42);
-    net.set_fast_forward(fast_forward);
-    net.run(20'000);
-    benchmark::DoNotOptimize(net.skip_stats().skips);
-  }
-  state.SetItemsProcessed(state.iterations() * 20'000);
-}
-BENCHMARK(BM_NetworkRun_LowLoadSensorWise)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_NetworkRun_LowLoadActiveSet(benchmark::State& state) {
   const noc::SchedulerMode mode =
@@ -194,6 +175,8 @@ void BM_NetworkRun_LowLoadActiveSet(benchmark::State& state) {
     pc.kind = core::PolicyKind::kSensorWise;
     core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
     ctrl.attach();
+    // Sparse traffic: packets are hundreds of cycles apart, so most of the
+    // run is idle gap — the regime lifetime studies live in.
     traffic::install_uniform_traffic(net, 0.0005, 42);
     net.set_scheduler_mode(mode);
     net.run(20'000);

@@ -53,9 +53,9 @@ def check_fast_forward_gates(fresh, gates):
     """Same-machine speedup floors: both sides of each pair come from the
     *fresh* run, so no calibration is involved and the check is immune to
     machine-speed differences — only the ratio matters. Guards the
-    event-horizon fast-forward engine: if quiescence detection breaks (the
-    engine silently stops skipping) or skipping becomes as expensive as
-    stepping, the pair collapses toward 1x and this fails."""
+    active-set skipping engine: if parking breaks (the engine silently
+    stops skipping) or skipping becomes as expensive as stepping, the pair
+    collapses toward 1x and this fails."""
     failures = []
     for gate in gates:
         fast, slow = gate["fast"], gate["slow"]

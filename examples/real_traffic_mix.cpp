@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
   for (const auto& [key, port] : sw.ports) {
     const auto md = static_cast<std::size_t>(port.most_degraded);
     const auto& rr_port = rr.ports.at(key);
-    table.add_row({"r" + std::to_string(key.router) + "-" +
-                       std::string(1, noc::dir_letter(key.port)),
+    table.add_row({'r' + std::to_string(key.router) + '-' + noc::dir_letter(key.port),
                    std::to_string(port.most_degraded),
                    util::format_percent(rr_port.duty_percent[md]),
                    util::format_percent(port.duty_percent[md]),

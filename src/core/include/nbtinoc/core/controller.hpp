@@ -95,11 +95,11 @@ class PolicyGateController final : public noc::IGateController {
   noc::GateCommand decide(const noc::PortKey& key, const noc::OutVcStateView& view,
                           bool new_traffic, sim::Cycle now) override;
   void post_cycle(sim::Cycle now) override;
-  /// Fast-forward horizon: with a fault injector installed the fault
+  /// Parked-fabric horizon: with a fault injector installed the fault
   /// processes draw RNG every cycle, so the horizon is pinned to `now`
-  /// (fast-forward effectively disabled); otherwise the only autonomous
-  /// events are the per-port sensor refresh epochs, so the horizon is the
-  /// earliest next_refresh_cycle() across ports.
+  /// (no jump can span a cycle); otherwise the only autonomous events are
+  /// the per-port sensor refresh epochs, so the horizon is the earliest
+  /// next_refresh_cycle() across ports.
   sim::Cycle next_event_cycle(sim::Cycle now) override;
   const char* name() const override;
 

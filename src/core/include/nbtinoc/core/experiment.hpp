@@ -104,18 +104,18 @@ struct RunnerOptions {
   /// are reported in RunResult::invariant_violations. Roughly doubles run
   /// time; meant for tests and fault studies, not duty-cycle production.
   bool check_invariants = false;
-  /// Event-horizon fast-forwarding (Network::set_fast_forward): skip
-  /// provably quiescent stretches instead of stepping them. Results are
-  /// bit-identical either way (pinned by the golden/equivalence tests);
-  /// turn it off only to time or debug the literal per-cycle path. Ignored
-  /// (forced off) when check_invariants is set, which steps every cycle by
-  /// construction.
+  /// Skip idle work (Network::set_fast_forward): true runs the active-set
+  /// engine, false the literal stepped loop. Results are bit-identical
+  /// either way (pinned by the golden/differential tests); turn it off only
+  /// to time or debug the per-cycle path. Ignored when check_invariants is
+  /// set, which steps every cycle unless `scheduler` says otherwise.
   bool fast_forward = true;
-  /// Explicit scheduler selection. When set it wins over `fast_forward`
-  /// (which remains as the legacy two-state knob): kStepped / kFastForward /
-  /// kActiveSet. Unlike fast-forward, the active-set scheduler composes
-  /// with check_invariants — the checker then also audits that every parked
-  /// component is provably idle.
+  /// Explicit engine selection; when set it wins over `fast_forward`. The
+  /// two fields spell one selector — kept both because existing callers
+  /// (benchmark harnesses, check_invariants runs that audit parked
+  /// components) name the engine through either. The active-set engine
+  /// composes with check_invariants: the checker then also audits that
+  /// every parked component is provably idle.
   std::optional<noc::SchedulerMode> scheduler;
 
   // --- checkpoint/restore (ARCHITECTURE.md §13) -------------------------------

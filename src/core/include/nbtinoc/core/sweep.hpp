@@ -97,20 +97,6 @@ class SweepResult {
   std::vector<SweepPointResult> points_;
 };
 
-/// Coarse task fan-out on the sweep pool idiom: runs fn(0), ..., fn(count-1)
-/// across up to `workers` threads (0 = hardware concurrency), inline on the
-/// calling thread when one worker suffices — the reference serial path, with
-/// no pool and no locks. fn must be safe to call concurrently for distinct
-/// indices and should write its output into a per-index slot; determinism is
-/// then automatic because slot i never depends on the schedule. The first
-/// exception thrown by any index is rethrown after all workers finish.
-///
-/// This is for work that is *not* one run_experiment per cell (e.g. a
-/// multi-epoch lifetime study per policy); plain experiment grids should use
-/// SweepRunner, which also tracks per-point wall time and exports.
-void parallel_for(std::size_t count, unsigned workers,
-                  const std::function<void(std::size_t)>& fn);
-
 /// Builds a grid of experiment points and executes them on a thread pool.
 ///
 ///   SweepRunner sweep(options);
@@ -141,12 +127,15 @@ class SweepRunner {
   /// Number of worker threads run() will actually use.
   unsigned effective_workers() const;
 
-  /// Runs fn(0), ..., fn(count-1) on this runner's pool configuration —
-  /// same worker count, same inline-when-serial reference path as run().
-  /// For point-shaped work that is not one run_experiment per cell (e.g.
-  /// a multi-epoch lifetime study per policy): callers get the sweep
-  /// pool's determinism idiom (write into per-index slots) without
-  /// hand-wiring parallel_for and a worker count.
+  /// Runs fn(0), ..., fn(count-1) on the pool run() uses: up to
+  /// options.workers threads (never more than `count`), inline on the
+  /// calling thread when one suffices — the reference serial path. For
+  /// point-shaped work that is not one run_experiment per cell (e.g. a
+  /// multi-epoch lifetime study per policy). fn must be safe to call
+  /// concurrently for distinct indices and should write into a per-index
+  /// slot; determinism is then automatic because slot i never depends on
+  /// the schedule. The first exception thrown by any index is rethrown
+  /// after all workers finish.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) const;
 
   /// Executes every added point and returns the grid-ordered results.

@@ -81,8 +81,10 @@ PolicyGateController::PolicyGateController(noc::Network& network, PolicyConfig c
   }
   util::SplitMix64 noise_seeder(noise_seed);
   for (auto& [key, bank_vths] : initial_vths) {
-    PortContext ctx{bank_vths, nbti::NbtiSensorBank(bank_vths, model, op, config_.sensor,
-                                                    noise_seeder.next())};
+    PortContext ctx{bank_vths,
+                    nbti::NbtiSensorBank(bank_vths, model, op, config_.sensor,
+                                         noise_seeder.next()),
+                    /*effective_vths=*/{}};
     ctx.effective_vths.resize(ctx.sensors.size());
     for (std::size_t i = 0; i < ctx.sensors.size(); ++i)
       ctx.effective_vths[i] = ctx.sensors.measured_vth(i);

@@ -329,7 +329,7 @@ RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Worklo
     // Same schedule as run_with_warmup, with the invariant checker run
     // after every cycle (it self-resyncs across the stats reset). step()
     // honors the explicit scheduler choice (active-set steps one cycle of
-    // its scheduled components; fast-forward degenerates to stepped here).
+    // its scheduled components).
     if (options.scheduler) network.set_scheduler_mode(*options.scheduler);
     noc::InvariantChecker checker(network);
     network.set_measuring(false);

@@ -20,6 +20,52 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+/// Threads a pool of `requested` workers (0 = hardware concurrency) would
+/// use for `count` tasks: never more than the tasks, never fewer than one.
+unsigned resolve_workers(unsigned requested, std::size_t count) {
+  unsigned n = requested;
+  if (n == 0) n = std::thread::hardware_concurrency();
+  if (n == 0) n = 1;  // hardware_concurrency() may be unknowable
+  if (count < static_cast<std::size_t>(n)) n = static_cast<unsigned>(count == 0 ? 1 : count);
+  return n;
+}
+
+/// The sweep's one worker pool: runs fn(0), ..., fn(count-1) across
+/// resolve_workers(workers, count) threads, inline on the calling thread
+/// when one suffices — the reference serial path, with no pool. Workers
+/// claim indices from a shared counter; the first exception thrown by any
+/// index is rethrown after all workers finish.
+void parallel_for(std::size_t count, unsigned workers,
+                  const std::function<void(std::size_t)>& fn) {
+  const unsigned n = resolve_workers(workers, count);
+  if (n <= 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto worker_loop = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        return;  // stop this worker; others drain their claimed indices
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(n);
+  for (unsigned w = 0; w < n; ++w) pool.emplace_back(worker_loop);
+  for (auto& t : pool) t.join();
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 }  // namespace
 
 std::string SweepPoint::describe() const {
@@ -88,41 +134,6 @@ void SweepResult::write_json(const std::string& path) const {
   out << to_json();
 }
 
-void parallel_for(std::size_t count, unsigned workers,
-                  const std::function<void(std::size_t)>& fn) {
-  unsigned n = workers;
-  if (n == 0) n = std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
-  if (count < static_cast<std::size_t>(n)) n = static_cast<unsigned>(count == 0 ? 1 : count);
-
-  if (n <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const auto worker_loop = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;  // stop this worker; others drain their claimed indices
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(n);
-  for (unsigned w = 0; w < n; ++w) pool.emplace_back(worker_loop);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {}
 
 std::size_t SweepRunner::add(SweepPoint point) {
@@ -148,12 +159,7 @@ void SweepRunner::add_grid(const std::vector<sim::Scenario>& scenarios,
 }
 
 unsigned SweepRunner::effective_workers() const {
-  unsigned n = options_.workers;
-  if (n == 0) n = std::thread::hardware_concurrency();
-  if (n == 0) n = 1;  // hardware_concurrency() may be unknowable
-  if (points_.size() < static_cast<std::size_t>(n))
-    n = static_cast<unsigned>(points_.size() == 0 ? 1 : points_.size());
-  return n;
+  return resolve_workers(options_.workers, points_.size());
 }
 
 void SweepRunner::for_each(std::size_t count,
@@ -168,80 +174,32 @@ SweepResult SweepRunner::run() const {
   // Each point is an independent pure function of its SweepPoint (PV and
   // traffic seeds derive from the scenario inside run_experiment), so
   // workers may claim indices in any order: the write goes to the point's
-  // own grid slot and carries no cross-point state.
-  const auto run_point = [&](std::size_t i) {
+  // own grid slot and carries no cross-point state. At one worker this is
+  // byte-identical to calling run_experiment in a loop.
+  std::mutex progress_mutex;
+  std::size_t completed = 0;
+  parallel_for(points_.size(), options_.workers, [&](std::size_t i) {
     const auto point_start = std::chrono::steady_clock::now();
     SweepPointResult& slot = results[i];
     slot.point = points_[i];
     slot.result = run_experiment(points_[i].scenario, points_[i].policy, points_[i].workload,
                                  points_[i].runner ? *points_[i].runner : options_.runner);
     slot.wall_seconds = seconds_since(point_start);
-  };
-
-  const unsigned workers = effective_workers();
-  if (workers <= 1) {
-    // Reference serial path: no pool, no locks — byte-identical to calling
-    // run_experiment in a loop.
-    std::size_t completed = 0;
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      run_point(i);
-      ++completed;
-      if (options_.on_progress) {
-        SweepProgress prog;
-        prog.completed = completed;
-        prog.total = points_.size();
-        prog.point_index = i;
-        prog.point_seconds = results[i].wall_seconds;
-        prog.elapsed_seconds = seconds_since(start);
-        prog.eta_seconds = prog.completed == 0
-                               ? 0.0
-                               : prog.elapsed_seconds / static_cast<double>(prog.completed) *
-                                     static_cast<double>(prog.total - prog.completed);
-        prog.point = &points_[i];
-        options_.on_progress(prog);
-      }
-    }
-    return SweepResult(std::move(results));
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  std::mutex progress_mutex;
-  std::exception_ptr first_error;
-
-  const auto worker_loop = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= points_.size()) return;
-      try {
-        run_point(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;  // stop this worker; others drain their claimed points
-      }
-      const std::size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (options_.on_progress) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        SweepProgress prog;
-        prog.completed = done;
-        prog.total = points_.size();
-        prog.point_index = i;
-        prog.point_seconds = results[i].wall_seconds;
-        prog.elapsed_seconds = seconds_since(start);
-        prog.eta_seconds = prog.elapsed_seconds / static_cast<double>(done) *
-                           static_cast<double>(prog.total - done);
-        prog.point = &points_[i];
-        options_.on_progress(prog);
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+    if (!options_.on_progress) return;
+    // Counted under the lock, so `completed` rises by one per callback in
+    // the order the callbacks fire.
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    SweepProgress prog;
+    prog.completed = ++completed;
+    prog.total = points_.size();
+    prog.point_index = i;
+    prog.point_seconds = slot.wall_seconds;
+    prog.elapsed_seconds = seconds_since(start);
+    prog.eta_seconds = prog.elapsed_seconds / static_cast<double>(prog.completed) *
+                       static_cast<double>(prog.total - prog.completed);
+    prog.point = &points_[i];
+    options_.on_progress(prog);
+  });
   return SweepResult(std::move(results));
 }
 

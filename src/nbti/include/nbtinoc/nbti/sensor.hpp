@@ -56,7 +56,7 @@ class NbtiSensorBank {
   }
 
   /// Earliest cycle at which refresh_due() turns true — the bank's epoch
-  /// fence for the fast-forward engine. A refresh draws noise RNG and
+  /// fence for the active-set engine's jump. A refresh draws noise RNG and
   /// re-reads elapsed time, so skipping across this cycle would shift the
   /// whole measurement schedule; the engine instead skips *to* it and steps
   /// it normally.

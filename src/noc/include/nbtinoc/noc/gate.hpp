@@ -115,10 +115,10 @@ class IGateController {
 
   /// Earliest cycle >= now at which this controller's `post_cycle` (or any
   /// other internal process — sensor refresh, fault machinery) does
-  /// something observable while the mesh stays quiescent, or
+  /// something observable while the fabric stays parked, or
   /// sim::kCycleNever.  Conservative answers (<= the true next event) are
   /// safe; the default pins the horizon to `now`, which disables
-  /// fast-forwarding for controllers that do not implement the query.
+  /// the parked-fabric jump for controllers that do not implement the query.
   virtual sim::Cycle next_event_cycle(sim::Cycle now) { return now; }
 
   virtual const char* name() const = 0;

@@ -37,18 +37,17 @@
 
 namespace nbtinoc::noc {
 
-/// Execution engines for Network::run(). All three are bit-identical in
-/// every observable (stats, duty cycles, RNG streams); they differ only in
-/// how much work each simulated cycle costs:
-///  - kStepped:     literal per-cycle execution of every component.
-///  - kFastForward: stepped, plus closed-form jumps across whole-network
-///                  quiescence (the PR 4 event-horizon engine).
-///  - kActiveSet:   event-driven — only routers/NIs with provable work are
-///                  stepped each cycle; wake events (channel deliveries,
-///                  source fires, reply posts) re-insert parked components,
-///                  and full quiescence degenerates to the same
-///                  event-horizon jump.
-enum class SchedulerMode { kStepped, kFastForward, kActiveSet };
+/// Execution engines for Network::run(). Both are bit-identical in every
+/// observable (stats, duty cycles, RNG streams); they differ only in how
+/// much work each simulated cycle costs:
+///  - kStepped:   literal per-cycle execution of every component — the
+///                reference oracle the differential tests compare against.
+///  - kActiveSet: event-driven — only routers/NIs with provable work are
+///                stepped each cycle; wake events (channel deliveries,
+///                source fires, reply posts) re-insert parked components,
+///                and a fully parked fabric jumps the clock straight to the
+///                next event horizon (ARCHITECTURE.md §9).
+enum class SchedulerMode { kStepped, kActiveSet };
 
 class Network {
  public:
@@ -103,9 +102,9 @@ class Network {
 
   /// Advances one cycle.
   void step();
-  /// Advances `cycles` cycles. With fast-forwarding enabled, provably
-  /// quiescent stretches are skipped in closed form (bit-identical results;
-  /// see quiescent()/next_event_horizon()).
+  /// Advances `cycles` cycles. Under kActiveSet, parked components cost
+  /// nothing and fully parked stretches are skipped in closed form
+  /// (bit-identical results either way).
   void run(sim::Cycle cycles);
   /// Runs `warmup` cycles with stress accounting frozen, then `measure`
   /// cycles with accounting enabled.
@@ -139,7 +138,7 @@ class Network {
   /// -Δ term of the invariant checker's conservation audit.
   std::uint64_t dropped_flits() const { return dropped_flits_total_; }
   /// Cycle of the next pending structural kill (kCycleNever when none) —
-  /// the fence both fast-forwarding engines must not jump across.
+  /// the fence the active-set jump must not cross.
   sim::Cycle next_structural_cycle() const { return next_structural_cycle_; }
 
   // --- execution engines (sim::EventHorizon, sim::ActiveSet) -----------------
@@ -157,11 +156,13 @@ class Network {
   void set_scheduler_mode(SchedulerMode mode);
   SchedulerMode scheduler_mode() const { return scheduler_mode_; }
 
-  /// Legacy toggle: maps to kFastForward / kStepped.
+  /// Two-state spelling of set_scheduler_mode: true selects kActiveSet,
+  /// false kStepped. Kept because callers written against the
+  /// RunnerOptions::fast_forward knob (benchmark harnesses among them)
+  /// select the skipping engine through this name.
   void set_fast_forward(bool enabled) {
-    set_scheduler_mode(enabled ? SchedulerMode::kFastForward : SchedulerMode::kStepped);
+    set_scheduler_mode(enabled ? SchedulerMode::kActiveSet : SchedulerMode::kStepped);
   }
-  bool fast_forward() const { return scheduler_mode_ == SchedulerMode::kFastForward; }
 
   // --- active-set introspection (oracle tests, invariant checker) ------------
   /// Membership of the active set for the *next* cycle to execute (the
@@ -175,8 +176,8 @@ class Network {
   bool ni_stepped(NodeId t) const { return stepped_nis_.contains(t); }
 
   /// True when router `id` sits in the per-port gating fixed point the park
-  /// condition (and quiescent()) require: every (vnet, class) record of a
-  /// port agrees, and the port is all-gated or all-idle accordingly.
+  /// condition requires: every (vnet, class) record of a port agrees, and
+  /// the port is all-gated or all-idle accordingly.
   bool router_gating_fixed_point(NodeId id) const;
 
   struct SchedulerStats {
@@ -191,26 +192,8 @@ class Network {
   /// possibly parked server). No-op outside kActiveSet mode.
   void wake_terminal_at(NodeId t, sim::Cycle at);
 
-  /// O(channels + ports) proof that nothing observable can happen until an
-  /// external event: no flit or credit in flight, every NI empty and not
-  /// serializing, no fault injector, and every input port parked in its
-  /// gating fixed point (all VCs gated under an active gating command, or
-  /// all VCs idle-and-unGated under the baseline). Each policy's decide()
-  /// is a no-op on such a port (asserted by tests, derived in
-  /// ARCHITECTURE.md §9), so repeating step() until the next traffic/sensor
-  /// event only spins the clock.
-  bool quiescent() const;
-
-  /// Earliest cycle >= now at which anything observable can happen while
-  /// the mesh stays quiescent: min over every traffic source's
-  /// next_event_cycle() and the controller's (sensor refresh epochs; `now`
-  /// under fault injection). May conservatively undershoot — run() then
-  /// simply re-checks after stepping there. Non-const: sources pre-roll
-  /// their RNG streams to answer.
-  sim::Cycle next_event_horizon();
-
-  /// How often run() fast-forwarded and how many cycles it elided
-  /// (monotonic over the network's lifetime).
+  /// How often run() jumped a fully parked fabric ahead and how many cycles
+  /// it elided (monotonic over the network's lifetime).
   const sim::SkipStats& skip_stats() const { return skip_stats_; }
 
   // --- checkpoint/restore ----------------------------------------------------
@@ -287,9 +270,10 @@ class Network {
 
   Channel<GateCommand>& up_down_link_mutable(NodeId router, Dir port);
   /// Last applied gating mode (gating_active) per (router, port, vnet,
-  /// dateline class) — written by gating_stage, read by the quiescence
-  /// proof to pick which fixed point (all-gated vs all-idle) each port must
-  /// satisfy. Single-class topologies collapse the class axis.
+  /// dateline class) — written by gating_stage, read by the park condition
+  /// (router_gating_fixed_point) to pick which fixed point (all-gated vs
+  /// all-idle) each port must satisfy. Single-class topologies collapse the
+  /// class axis.
   std::size_t gating_record_index(NodeId router, Dir port, int vnet, int cls) const {
     const auto ports = static_cast<std::size_t>(config_.ports_per_router());
     return ((static_cast<std::size_t>(router) * ports + static_cast<std::size_t>(port)) *

@@ -53,7 +53,7 @@ class ITrafficSource {
   /// sim::kCycleNever if it never will.  Answers may be conservative (any
   /// cycle <= the true next event is safe — the caller simply re-asks after
   /// stepping there); they must never overshoot a real event.  The default
-  /// returns `now`, which disables fast-forwarding for sources that do not
+  /// returns `now`, which disables skipping for sources that do not
   /// implement the query.  Implementations must not change the source's
   /// observable RNG consumption order relative to per-cycle stepping.
   virtual sim::Cycle next_event_cycle(sim::Cycle now) { return now; }

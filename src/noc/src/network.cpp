@@ -338,14 +338,18 @@ void Network::step() {
 
 void Network::run(sim::Cycle cycles) {
   const sim::Cycle end = clock_.now() + cycles;
-  if (scheduler_mode_ == SchedulerMode::kActiveSet) {
+  if (scheduler_mode_ == SchedulerMode::kStepped) {
+    while (clock_.now() < end) step();
+  } else {
     while (clock_.now() < end) {
       drain_wakes(clock_.now());
-      // Full quiescence degenerates to the event-horizon jump: with nothing
-      // active now, nothing scheduled for the next cycle, and retire having
-      // left the far ring slot empty, the only possible events are heap
-      // wakes and controller epochs — jump to the earliest (clamped to this
-      // run's end fence).
+      // A fully parked fabric degenerates to the event-horizon jump: with
+      // nothing active now, nothing scheduled for the next cycle, and retire
+      // having left the far ring slot empty, the only possible events are heap
+      // wakes (channel deliveries, source fires) and controller epochs — jump
+      // to the earliest, clamped to this run's end fence. The stress trackers
+      // are lazy, so the skipped span accrues to each buffer's unchanged state
+      // at the next fence, exactly what stepping it would have recorded.
       if (active_routers_.empty() && active_nis_.empty() && wake_routers_[0].empty() &&
           wake_nis_[0].empty()) {
         const sim::Cycle now = clock_.now();
@@ -363,24 +367,6 @@ void Network::run(sim::Cycle cycles) {
         // execute it — with empty active sets that is post_cycle + tick.
       }
       step_active();
-    }
-    sync_stress_accounting();
-    return;
-  }
-  while (clock_.now() < end) {
-    step();
-    // Fast-forward: once the mesh is provably quiescent, nothing observable
-    // can happen before the next traffic fire or sensor epoch, so jump the
-    // clock straight there (clamped to this run's end fence). The stress
-    // trackers are lazy (note_state/sync), so the skipped span accrues to
-    // each buffer's unchanged state at the next fence — exactly what
-    // stepping the same span would have recorded.
-    if (scheduler_mode_ != SchedulerMode::kFastForward || clock_.now() >= end || !quiescent())
-      continue;
-    const sim::Cycle target = std::min(next_event_horizon(), end);
-    if (target > clock_.now()) {
-      skip_stats_.note_skip(target - clock_.now());
-      clock_.advance(target - clock_.now());
     }
   }
   // One O(buffers) flush per run() call, so counters are current for any
@@ -570,11 +556,13 @@ bool Network::router_gating_fixed_point(NodeId id) const {
     const Dir port = static_cast<Dir>(p);
     if (!r.has_input(port) || r.input_port_dead(port)) continue;
     const InputUnit& iu = r.input(port);
-    // Same per-port clause as quiescent(): every (vnet, class) of the port
-    // must sit in the fixed point of its last applied command — all VCs
-    // gated under an active gating record, all idle-and-unGated otherwise.
-    // Every policy's decide() is a no-op on such a port (ARCHITECTURE.md
-    // §9), which is what makes skipping the decide call bit-exact.
+    // Every (vnet, class) of the port must sit in the fixed point of its
+    // last applied command — all VCs gated under an active gating record,
+    // all idle-and-unGated otherwise (a kept-awake or wake-window VC would
+    // be re-gated later, a gated baseline VC would need a wake: both are
+    // events). Every policy's decide() is a no-op on such a port
+    // (ARCHITECTURE.md §9), which is what makes skipping the decide call
+    // bit-exact.
     const bool active = gating_record_[gating_record_index(id, port, 0, 0)] != 0;
     for (int vn = 0; vn < config_.num_vnets; ++vn)
       for (int cls = 0; cls < num_classes; ++cls)
@@ -639,61 +627,6 @@ std::size_t Network::flits_resident() const {
     }
   }
   return n;
-}
-
-bool Network::quiescent() const {
-  // Control-fault processes draw RNG and may act every cycle: never skip
-  // under one. Structural-only plans are fine — kills are fixed-cycle
-  // events next_event_horizon() fences on explicitly.
-  if (injector_ != nullptr && injector_->plan().control_enabled()) return false;
-  // Anything in flight will be delivered (and observed) on a later step.
-  // Credits matter too: an undelivered credit changes which cycle a future
-  // SA grant sees it, so skipping across its delivery would not be
-  // bit-identical.
-  for (const auto& link : flit_channels_)
-    if (!link->empty()) return false;
-  for (const auto& link : credit_channels_)
-    if (!link->empty()) return false;
-  // Up_Down links are delay-0 (drained inside gating_stage every cycle).
-  for (const auto& ni : nis_)
-    if (!ni->idle()) return false;
-  const int num_classes = config_.vc_classes();
-  for (NodeId id = 0; id < num_routers(); ++id) {
-    const Router& r = router(id);
-    if (r.dead()) continue;  // quarantined: holds no work by construction
-    for (int p = 0; p < r.num_ports(); ++p) {
-      const Dir port = static_cast<Dir>(p);
-      if (!r.has_input(port) || r.input_port_dead(port)) continue;
-      const InputUnit& iu = r.input(port);
-      if (iu.busy_vcs() != 0) return false;
-      // Every (vnet, class) of the port must sit in the *same* fixed point
-      // of its last applied command. Under an active gating command that is
-      // all-VCs-gated (a kept-awake or wake-window VC would be re-gated on
-      // a later cycle — an event); under the baseline it is all-idle with
-      // nothing gated (a gated VC would need a wake — also an event).
-      const bool active = gating_record_[gating_record_index(id, port, 0, 0)] != 0;
-      for (int vn = 0; vn < config_.num_vnets; ++vn)
-        for (int cls = 0; cls < num_classes; ++cls)
-          if ((gating_record_[gating_record_index(id, port, vn, cls)] != 0) != active)
-            return false;
-      if (!iu.gating_fixed_point(active, config_.total_vcs())) return false;
-    }
-  }
-  return true;
-}
-
-sim::Cycle Network::next_event_horizon() {
-  const sim::Cycle now = clock_.now();
-  sim::EventHorizon horizon(now);
-  horizon.consider(controller_->next_event_cycle(now));
-  horizon.consider(next_structural_cycle_);  // never jump across a kill
-  for (std::size_t t = 0; t < sources_.size(); ++t) {
-    // A dead tile's source is never polled again, so its fires are not
-    // events (and must not cap the jump).
-    if (sources_[t] != nullptr && !nis_[t]->dead())
-      horizon.consider(sources_[t]->next_event_cycle(now));
-  }
-  return horizon.horizon();
 }
 
 void Network::apply_structural_faults(sim::Cycle now) {

@@ -133,7 +133,7 @@ void InvariantChecker::check_shared_pools(sim::Cycle cycle) {
       const Dir port = static_cast<Dir>(p);
       if (!r.has_input(port)) continue;
       const SharedBufferPool* pool = r.input(port).pool();
-      const std::string where = "r" + std::to_string(id) + ":" + dir_letter(port);
+      const std::string where = 'r' + std::to_string(id) + ':' + dir_letter(port);
       if (pool == nullptr) {
         record(cycle, "shared organization but port " + where + " has no slot pool");
         continue;

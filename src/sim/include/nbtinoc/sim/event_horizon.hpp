@@ -13,11 +13,11 @@ namespace nbtinoc::sim {
 inline constexpr Cycle kCycleNever = ~Cycle{0};
 
 // Min-aggregator for next-event queries plus bookkeeping for how much work
-// fast-forwarding actually saved.  One instance lives in noc::Network; the
+// skipping actually saved.  One instance lives in noc::Network; the
 // sim layer owns the type so traffic/ and core/ can name kCycleNever and the
 // skip counters without depending on noc/.
 //
-// Usage per quiescent pause:
+// Usage per fully parked pause (Network::run under kActiveSet):
 //   EventHorizon h(now);
 //   h.consider(source->next_event_cycle(now));
 //   h.consider(controller->next_event_cycle(now));
@@ -41,11 +41,11 @@ class EventHorizon {
   Cycle horizon_;
 };
 
-// Counters describing how often the fast-forward engine engaged and how many
+// Counters describing how often the parked-fabric jump engaged and how many
 // cycles it elided.  Monotonic over the life of a Network (not reset with
 // StatRegistry) — benchmarks and tests read them to prove skipping happened.
 struct SkipStats {
-  std::uint64_t skips = 0;           // number of fast-forward jumps taken
+  std::uint64_t skips = 0;           // number of jumps taken
   std::uint64_t cycles_skipped = 0;  // total cycles elided across all jumps
 
   void note_skip(Cycle span) {

@@ -16,8 +16,8 @@
 // cycle c is floor(lambda_c) + Bernoulli(frac(lambda_c)). Emission draws
 // are pre-rolled in cycle order with destination draws deferred to
 // consumption (the SyntheticSource discipline), so next_event_cycle() is
-// safe for the fast-forward/active-set engines and the RNG stream is
-// bit-identical across all scheduler modes. Multi-packet cycles hand their
+// safe for the active-set engine and the RNG stream is
+// bit-identical across both scheduler modes. Multi-packet cycles hand their
 // whole batch to the NI through generate_burst(); a batch larger than
 // noc::kMaxGenerateBurst slips, deterministically, to the following cycles.
 //

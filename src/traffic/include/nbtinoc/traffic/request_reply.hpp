@@ -42,7 +42,7 @@ class ReplyBoard {
   /// board is the one traffic event next_event_cycle() cannot predict from
   /// the server's own state, so the board tells the active-set scheduler
   /// directly (install_request_reply_traffic wires this to
-  /// Network::wake_terminal_at; a no-op in the stepped/fast-forward modes).
+  /// Network::wake_terminal_at; a no-op in stepped mode).
   using WakeSink = std::function<void(noc::NodeId server, sim::Cycle ready_at)>;
   void set_wake_sink(WakeSink sink) { wake_sink_ = std::move(sink); }
 
@@ -92,7 +92,7 @@ class RequestReplySource final : public noc::ITrafficSource {
 
   std::optional<noc::PacketRequest> maybe_generate(sim::Cycle now) override;
 
-  /// Next-fire query for the fast-forward engine: min of the pending-reply
+  /// Next-fire query for the active-set engine: min of the pending-reply
   /// front's ready_at and the next pre-rolled request fire. Pre-rolling is
   /// capped strictly below min(front ready_at, now + service_delay) so that
   /// no Bernoulli is ever drawn for a cycle that stepped execution would

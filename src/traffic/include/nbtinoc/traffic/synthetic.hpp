@@ -22,7 +22,7 @@ class SyntheticSource final : public noc::ITrafficSource {
 
   std::optional<noc::PacketRequest> maybe_generate(sim::Cycle now) override;
 
-  /// Exact next-fire query for the fast-forward engine. Pre-rolls the
+  /// Exact next-fire query for the active-set engine. Pre-rolls the
   /// per-cycle Bernoulli stream (bounded look-ahead) without disturbing the
   /// draw order: destination draws still happen at consumption time, so the
   /// RNG stream is bit-identical to stepped execution.

@@ -94,8 +94,7 @@ class TraceReplaySource final : public noc::ITrafficSource {
   /// Exact next-event query: the recorded cycle of the next unreplayed
   /// record (clamped to `now` for slipped same-cycle records), or
   /// sim::kCycleNever once the trace is exhausted. Draw-free, so the
-  /// fast-forward and active-set engines skip between trace records
-  /// losslessly.
+  /// active-set engine skips between trace records losslessly.
   sim::Cycle next_event_cycle(sim::Cycle now) override;
 
   /// Replay progress (records consumed so far) — the only mutable state.

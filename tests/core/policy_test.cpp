@@ -247,7 +247,9 @@ TEST_P(SensorWiseSweep, KeepsOneNonMdVc) {
   EXPECT_TRUE(cmd.enable);
   ASSERT_GE(cmd.keep_vc, 0);
   ASSERT_LT(cmd.keep_vc, num_vcs);
-  if (num_vcs > 1) EXPECT_NE(cmd.keep_vc, md);
+  if (num_vcs > 1) {
+    EXPECT_NE(cmd.keep_vc, md);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllShapes, SensorWiseSweep,

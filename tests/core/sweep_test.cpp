@@ -175,11 +175,17 @@ TEST(SweepRunner, ErrorsInWorkerThreadsPropagate) {
   EXPECT_THROW(sweep.run(), std::invalid_argument);
 }
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnceAtAnyWorkerCount) {
+SweepRunner runner_with_workers(unsigned workers) {
+  SweepOptions options;
+  options.workers = workers;
+  return SweepRunner(std::move(options));
+}
+
+TEST(SweepRunnerForEach, CoversEveryIndexExactlyOnceAtAnyWorkerCount) {
   for (unsigned workers : {1u, 2u, 7u, 32u}) {
     constexpr std::size_t kCount = 100;
     std::vector<std::atomic<int>> hits(kCount);
-    parallel_for(kCount, workers, [&](std::size_t i) {
+    runner_with_workers(workers).for_each(kCount, [&](std::size_t i) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < kCount; ++i)
@@ -187,16 +193,16 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnceAtAnyWorkerCount) {
   }
 }
 
-TEST(ParallelFor, ZeroCountIsANoOpAndErrorsPropagate) {
-  parallel_for(0, 4, [](std::size_t) { FAIL() << "fn called for empty range"; });
-  EXPECT_THROW(
-      parallel_for(8, 4,
-                   [](std::size_t i) {
-                     if (i == 3) throw std::runtime_error("boom");
-                   }),
-      std::runtime_error);
+TEST(SweepRunnerForEach, ZeroCountIsANoOpAndErrorsPropagate) {
+  runner_with_workers(4).for_each(0, [](std::size_t) { FAIL() << "fn called for empty range"; });
+  EXPECT_THROW(runner_with_workers(4).for_each(8,
+                                               [](std::size_t i) {
+                                                 if (i == 3) throw std::runtime_error("boom");
+                                               }),
+               std::runtime_error);
   // The serial path (one worker) propagates too, at the failing index.
-  EXPECT_THROW(parallel_for(2, 1, [](std::size_t) { throw std::runtime_error("boom"); }),
+  EXPECT_THROW(runner_with_workers(1).for_each(
+                   2, [](std::size_t) { throw std::runtime_error("boom"); }),
                std::runtime_error);
 }
 

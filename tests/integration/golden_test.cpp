@@ -122,10 +122,11 @@ TEST(Golden, DutyCyclesMatchCheckedInGolden) {
 }
 
 TEST(Golden, FastForwardOffMatchesGolden) {
-  // The event-horizon engine's hard guarantee, pinned from the other side:
+  // The skipping engine's hard guarantee, pinned from the other side:
   // DutyCyclesMatchCheckedInGolden runs with fast_forward on (the
-  // RunnerOptions default), so re-running the same grid with the literal
-  // per-cycle loop must reproduce the same golden bytes.
+  // RunnerOptions default, the active-set engine), so re-running the same
+  // grid with the literal per-cycle loop must reproduce the same golden
+  // bytes.
   if (std::getenv("NBTINOC_UPDATE_GOLDEN") != nullptr)
     GTEST_SKIP() << "golden file being regenerated by DutyCyclesMatchCheckedInGolden";
   SweepOptions options;

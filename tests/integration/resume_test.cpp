@@ -64,8 +64,7 @@ void expect_resume_equal(const sim::Scenario& s, PolicyKind policy, const Worklo
 
 TEST(ResumeTest, BitIdenticalUnderEverySchedulerMode) {
   const sim::Scenario s = small_scenario();
-  for (const auto mode : {noc::SchedulerMode::kStepped, noc::SchedulerMode::kFastForward,
-                          noc::SchedulerMode::kActiveSet}) {
+  for (const auto mode : {noc::SchedulerMode::kStepped, noc::SchedulerMode::kActiveSet}) {
     SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
     expect_resume_equal(s, PolicyKind::kSensorWise, Workload::synthetic(), RunnerOptions{},
                         /*at=*/1'700, mode, mode);
@@ -82,7 +81,7 @@ TEST(ResumeTest, CrossModeRestoreIsExact) {
                       noc::SchedulerMode::kActiveSet);
   expect_resume_equal(s, PolicyKind::kSensorRank, Workload::synthetic(), RunnerOptions{},
                       /*at=*/2'000, noc::SchedulerMode::kActiveSet,
-                      noc::SchedulerMode::kFastForward);
+                      noc::SchedulerMode::kStepped);
 }
 
 TEST(ResumeTest, PausePointsCoverWarmupBoundaryAndEnds) {
@@ -92,7 +91,7 @@ TEST(ResumeTest, PausePointsCoverWarmupBoundaryAndEnds) {
   // the final cycle (resume runs zero cycles) are the schedule edge cases.
   for (const sim::Cycle at : {sim::Cycle{0}, sim::Cycle{250}, s.warmup_cycles, total}) {
     expect_resume_equal(s, PolicyKind::kSensorWise, Workload::synthetic(), RunnerOptions{}, at,
-                        noc::SchedulerMode::kFastForward, noc::SchedulerMode::kFastForward);
+                        noc::SchedulerMode::kActiveSet, noc::SchedulerMode::kActiveSet);
   }
 }
 
@@ -168,10 +167,9 @@ TEST_P(ResumeFuzzTest, RandomPausePointsResumeExactly) {
                                       PolicyKind::kSensorRank};
   const PolicyKind policy = kPolicies[rng.next_below(5)];
   constexpr noc::SchedulerMode kModes[] = {noc::SchedulerMode::kStepped,
-                                           noc::SchedulerMode::kFastForward,
                                            noc::SchedulerMode::kActiveSet};
-  const auto save_mode = kModes[rng.next_below(3)];
-  const auto resume_mode = kModes[rng.next_below(3)];
+  const auto save_mode = kModes[rng.next_below(2)];
+  const auto resume_mode = kModes[rng.next_below(2)];
   const sim::Cycle at = rng.next_below(s.warmup_cycles + s.measure_cycles);
   SCOPED_TRACE("seed " + std::to_string(GetParam()) + ", " + s.name + ", policy " +
                to_string(policy));
@@ -213,10 +211,9 @@ TEST_P(SharedResumeFuzzTest, SharedPausePointsResumeExactly) {
                                       PolicyKind::kRrSlot};
   const PolicyKind policy = kPolicies[rng.next_below(3)];
   constexpr noc::SchedulerMode kModes[] = {noc::SchedulerMode::kStepped,
-                                           noc::SchedulerMode::kFastForward,
                                            noc::SchedulerMode::kActiveSet};
-  const auto save_mode = kModes[rng.next_below(3)];
-  const auto resume_mode = kModes[rng.next_below(3)];
+  const auto save_mode = kModes[rng.next_below(2)];
+  const auto resume_mode = kModes[rng.next_below(2)];
   const sim::Cycle at = rng.next_below(s.warmup_cycles + s.measure_cycles);
   SCOPED_TRACE("seed " + std::to_string(GetParam()) + ", " + s.name + ", reserve " +
                std::to_string(s.shared_reserve) + ", policy " + to_string(policy));

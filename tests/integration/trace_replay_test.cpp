@@ -37,17 +37,14 @@ void expect_run_equal(const RunResult& a, const RunResult& b, const char* what) 
   EXPECT_EQ(a.fault_counters, b.fault_counters);
 }
 
-/// Runs the workload under all three scheduler modes and asserts the results
-/// are bit-identical; returns the stepped result.
-RunResult run_three_way(const sim::Scenario& s, PolicyKind policy, const Workload& workload,
-                        RunnerOptions options) {
+/// Runs the workload under both scheduler modes and asserts the results are
+/// bit-identical; returns the stepped result.
+RunResult run_differential(const sim::Scenario& s, PolicyKind policy, const Workload& workload,
+                           RunnerOptions options) {
   options.scheduler = noc::SchedulerMode::kStepped;
   const RunResult stepped = run_experiment(s, policy, workload, options);
-  options.scheduler = noc::SchedulerMode::kFastForward;
-  const RunResult skipped = run_experiment(s, policy, workload, options);
   options.scheduler = noc::SchedulerMode::kActiveSet;
   const RunResult active = run_experiment(s, policy, workload, options);
-  expect_run_equal(stepped, skipped, "stepped vs fast-forward");
   expect_run_equal(stepped, active, "stepped vs active-set");
   return stepped;
 }
@@ -81,7 +78,7 @@ TEST(TraceReplayRun, CaptureIsObservationOnlyAndReplaysBitIdentically) {
   // ...and replaying the capture reproduces the run bit for bit, in every
   // scheduler mode.
   const RunResult replayed =
-      run_three_way(s, PolicyKind::kSensorWise, Workload::trace_replay(file), RunnerOptions{});
+      run_differential(s, PolicyKind::kSensorWise, Workload::trace_replay(file), RunnerOptions{});
   expect_run_equal(live, replayed, "live vs trace replay");
 }
 
@@ -101,14 +98,14 @@ TEST(TraceReplayRun, ReplayIsPolicyIndependentOfferedLoad) {
 TEST(TraceReplayRun, MidFaultStormReplayMatchesAcrossSchedulers) {
   // Capture under a fault storm, then replay with the same plan: the storm
   // re-derives from the scenario, so dropped/flipped packets land on the
-  // identical cycles and the replay still matches three ways.
+  // identical cycles and the replay still matches across schedulers.
   const sim::Scenario s = small_scenario();
   RunnerOptions options;
   options.faults = sim::FaultPlan::uniform(0.02);
   const auto [live, file] = capture(s, PolicyKind::kSensorWise, Workload::synthetic(), options);
   ASSERT_FALSE(live.fault_counters.empty());
   const RunResult replayed =
-      run_three_way(s, PolicyKind::kSensorWise, Workload::trace_replay(file), options);
+      run_differential(s, PolicyKind::kSensorWise, Workload::trace_replay(file), options);
   expect_run_equal(live, replayed, "fault-storm live vs replay");
 }
 
@@ -135,8 +132,7 @@ TEST(TraceReplayRun, SnapshotResumeOfTraceRunIsBitIdentical) {
   options.snapshot_at.reset();
   options.snapshot_out = nullptr;
   options.resume_from = bytes;
-  for (const auto mode : {noc::SchedulerMode::kStepped, noc::SchedulerMode::kFastForward,
-                          noc::SchedulerMode::kActiveSet}) {
+  for (const auto mode : {noc::SchedulerMode::kStepped, noc::SchedulerMode::kActiveSet}) {
     options.scheduler = mode;
     const RunResult resumed = run_experiment(s, PolicyKind::kSensorWise, replay, options);
     expect_run_equal(plain, resumed, "uninterrupted vs resumed replay");
@@ -155,12 +151,12 @@ TEST(TraceReplayRun, DatacenterWorkloadCapturesAndReplays) {
   profile.profile_horizon = 1 << 12;
   const Workload dc = Workload::datacenter_aggregate(profile);
 
-  const RunResult live = run_three_way(s, PolicyKind::kSensorWise, dc, RunnerOptions{});
+  const RunResult live = run_differential(s, PolicyKind::kSensorWise, dc, RunnerOptions{});
   const auto [captured, file] = capture(s, PolicyKind::kSensorWise, dc, RunnerOptions{});
-  expect_run_equal(live, captured, "datacenter three-way vs captured run");
+  expect_run_equal(live, captured, "datacenter differential vs captured run");
   ASSERT_GT(file->record_count(), 100u);
   const RunResult replayed =
-      run_three_way(s, PolicyKind::kSensorWise, Workload::trace_replay(file), RunnerOptions{});
+      run_differential(s, PolicyKind::kSensorWise, Workload::trace_replay(file), RunnerOptions{});
   expect_run_equal(live, replayed, "datacenter live vs replay");
 }
 

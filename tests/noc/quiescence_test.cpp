@@ -1,10 +1,11 @@
-// The fast-forward engine's safety net: Network::quiescent() may only say
-// "yes" when repeating step() until the next external event provably does
-// nothing. These tests pin the three ways the ISSUE requires it to say
-// "no" — an in-flight flit, a pending wake-up, a scheduled fault — plus the
-// positive cases (idle baseline mesh, all-gated policy fixed point), the
-// per-source next_event_cycle contracts, and the end-to-end guarantee that
-// fast-forwarded runs are bit-identical to stepped ones.
+// The active-set engine's skipping safety net. A component may only park
+// when stepping it until the next wake event provably does nothing, and a
+// fully parked fabric may only jump the clock to the event horizon. These
+// tests pin the park condition's "no" cases — a buffered flit, a busy NI, a
+// pending wake-up, a control-fault injector — plus the positive cases (idle
+// baseline mesh, all-gated policy fixed point), the per-source
+// next_event_cycle contracts the jump relies on, and the end-to-end
+// guarantee that skipped runs are bit-identical to stepped ones.
 
 #include <gtest/gtest.h>
 
@@ -62,41 +63,52 @@ TEST(EventHorizon, AggregatesMinAndClampsToNow) {
   EXPECT_EQ(h.horizon(), 100u);
 }
 
-TEST(Quiescence, IdleBaselineMeshIsQuiescent) {
-  Network net(mesh(2));
-  net.step();
-  EXPECT_TRUE(net.quiescent());
+/// True when every router and NI is parked for the next cycle.
+bool fabric_parked(const Network& net) {
+  for (NodeId id = 0; id < net.num_routers(); ++id)
+    if (net.router_active(id)) return false;
+  for (NodeId t = 0; t < net.nodes(); ++t)
+    if (net.ni_active(t)) return false;
+  return true;
 }
 
-TEST(Quiescence, OneInFlightFlitIsNeverQuiescent) {
-  Network net(mesh(3));
-  net.set_traffic_source(0, std::make_unique<OneShotSource>(2, /*dst=*/8));
-  bool saw_flit_in_flight = false;
-  for (int i = 0; i < 200; ++i) {
-    net.step();
-    if (net.flits_in_flight() > 0) {
-      saw_flit_in_flight = true;
-      EXPECT_FALSE(net.quiescent()) << "cycle " << net.clock().now();
-    }
-    if (!net.quiescent() && net.flits_in_flight() == 0) {
-      // Buffered or queued instead: also not quiescent — fine.
-    }
-  }
-  ASSERT_TRUE(saw_flit_in_flight);
-  // After full drain with the silent tail, the mesh settles quiescent again.
-  EXPECT_TRUE(net.drained());
-  EXPECT_TRUE(net.quiescent());
+/// True when every router sits in its per-port gating fixed point.
+bool all_routers_at_fixed_point(const Network& net) {
+  for (NodeId id = 0; id < net.num_routers(); ++id)
+    if (!net.router_gating_fixed_point(id)) return false;
+  return true;
+}
+
+TEST(Quiescence, IdleBaselineMeshIsQuiescent) {
+  Network net(mesh(2));
+  net.set_scheduler_mode(SchedulerMode::kActiveSet);
+  net.step();
+  EXPECT_TRUE(all_routers_at_fixed_point(net));
+  EXPECT_TRUE(fabric_parked(net));
 }
 
 TEST(Quiescence, BufferedFlitOrBusyNiIsNeverQuiescent) {
+  // A router holding a flit, or an NI holding a packet, must never park:
+  // its next stage would act on that work.
   Network net(mesh(3));
   net.set_traffic_source(0, std::make_unique<OneShotSource>(2, /*dst=*/8));
+  net.set_scheduler_mode(SchedulerMode::kActiveSet);
+  bool saw_buffered_flit = false;
   for (int i = 0; i < 200; ++i) {
     net.step();
-    if (!net.drained() || !net.ni(0).idle()) {
-      EXPECT_FALSE(net.quiescent());
+    for (NodeId id = 0; id < net.num_routers(); ++id) {
+      if (!net.router(id).any_busy_input()) continue;
+      saw_buffered_flit = true;
+      EXPECT_TRUE(net.router_active(id)) << "router " << id << ", cycle " << net.clock().now();
+    }
+    if (!net.ni(0).idle()) {
+      EXPECT_TRUE(net.ni_active(0)) << "cycle " << net.clock().now();
     }
   }
+  ASSERT_TRUE(saw_buffered_flit);
+  // After full drain with the silent tail, the fabric parks again.
+  EXPECT_TRUE(net.drained());
+  EXPECT_TRUE(fabric_parked(net));
 }
 
 TEST(Quiescence, SensorWiseMeshReachesAllGatedFixedPoint) {
@@ -107,8 +119,8 @@ TEST(Quiescence, SensorWiseMeshReachesAllGatedFixedPoint) {
   core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
   ctrl.attach();
   net.run(64);
-  ASSERT_TRUE(net.quiescent());
-  // Fixed point: stepping a quiescent mesh changes no gating state.
+  ASSERT_TRUE(all_routers_at_fixed_point(net));
+  // Fixed point: stepping a parkable mesh changes no gating state.
   const auto count_transitions = [&net] {
     std::uint64_t t = 0;
     for (NodeId id = 0; id < net.nodes(); ++id)
@@ -119,7 +131,7 @@ TEST(Quiescence, SensorWiseMeshReachesAllGatedFixedPoint) {
   const std::uint64_t transitions = count_transitions();
   for (int i = 0; i < 100; ++i) net.step();
   EXPECT_EQ(count_transitions(), transitions);
-  EXPECT_TRUE(net.quiescent());
+  EXPECT_TRUE(all_routers_at_fixed_point(net));
 }
 
 TEST(Quiescence, PendingWakeUpIsNeverQuiescent) {
@@ -130,28 +142,35 @@ TEST(Quiescence, PendingWakeUpIsNeverQuiescent) {
   core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
   ctrl.attach();
   net.run(64);
-  ASSERT_TRUE(net.quiescent());
+  ASSERT_TRUE(net.router_gating_fixed_point(0));
   // Force one VC out of Recovery: it now sits in its wake window, and the
   // policy will re-gate it on a later cycle — an observable event the
-  // engine must not skip across.
+  // engine must not skip across, so router 0 may not park.
   net.router(0).input(Dir::Local).vc(0).wake(net.clock().now());
-  EXPECT_FALSE(net.quiescent());
+  EXPECT_FALSE(net.router_gating_fixed_point(0));
 }
 
 TEST(Quiescence, InstalledFaultInjectorIsNeverQuiescent) {
+  // Control-fault processes draw RNG every cycle: every targeted router is
+  // pinned active for as long as the injector is installed.
   Network net(mesh(2));
+  net.set_scheduler_mode(SchedulerMode::kActiveSet);
   net.step();
-  ASSERT_TRUE(net.quiescent());
+  ASSERT_TRUE(fabric_parked(net));
   sim::FaultInjector injector(sim::FaultPlan::uniform(0.01), /*seed=*/5);
   net.set_fault_injector(&injector);
-  EXPECT_FALSE(net.quiescent());
+  for (int i = 0; i < 3; ++i) {
+    net.step();
+    for (NodeId id = 0; id < net.num_routers(); ++id) EXPECT_TRUE(net.router_active(id));
+  }
   net.set_fault_injector(nullptr);
-  EXPECT_TRUE(net.quiescent());
+  net.step();
+  EXPECT_TRUE(fabric_parked(net));
 }
 
 TEST(Quiescence, IdleMeshFastForwardsToEndWithoutStepping) {
   Network net(mesh(4));
-  net.set_fast_forward(true);
+  net.set_scheduler_mode(SchedulerMode::kActiveSet);
   net.run(1'000'000);
   EXPECT_EQ(net.clock().now(), 1'000'000u);
   EXPECT_GE(net.skip_stats().cycles_skipped, 999'000u);
@@ -167,7 +186,7 @@ TEST(Quiescence, SensorEpochsFenceTheSkips) {
   pc.kind = core::PolicyKind::kSensorWise;
   core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
   ctrl.attach();
-  net.set_fast_forward(true);
+  net.set_scheduler_mode(SchedulerMode::kActiveSet);
   net.run(100'000);
   const auto& stats = net.skip_stats();
   ASSERT_GT(stats.skips, 0u);
@@ -177,7 +196,7 @@ TEST(Quiescence, SensorEpochsFenceTheSkips) {
 }
 
 TEST(Quiescence, FastForwardRunsAreBitIdenticalToStepped) {
-  const auto run_one = [](bool fast_forward) {
+  const auto run_one = [](SchedulerMode mode) {
     Network net(mesh(3));
     const auto model = nbti::NbtiModel::calibrated({}, {});
     core::PolicyConfig pc;
@@ -185,7 +204,7 @@ TEST(Quiescence, FastForwardRunsAreBitIdenticalToStepped) {
     core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 21);
     ctrl.attach();
     traffic::install_uniform_traffic(net, 0.02, 99);
-    net.set_fast_forward(fast_forward);
+    net.set_scheduler_mode(mode);
     net.run_with_warmup(2'000, 30'000);
     std::vector<double> out;
     for (NodeId id = 0; id < net.nodes(); ++id)
@@ -199,8 +218,8 @@ TEST(Quiescence, FastForwardRunsAreBitIdenticalToStepped) {
     out.push_back(static_cast<double>(net.stats().counter("noc.packets_offered")));
     return out;
   };
-  const auto stepped = run_one(false);
-  const auto skipped = run_one(true);
+  const auto stepped = run_one(SchedulerMode::kStepped);
+  const auto skipped = run_one(SchedulerMode::kActiveSet);
   ASSERT_EQ(stepped.size(), skipped.size());
   for (std::size_t i = 0; i < stepped.size(); ++i)
     EXPECT_EQ(stepped[i], skipped[i]) << "index " << i;

@@ -194,7 +194,7 @@ INSTANTIATE_TEST_SUITE_P(SizeGrid, TopologyTest, ::testing::ValuesIn(kCases),
 // pre-topology golden results bit-identical.
 TEST(TopologyMeshTest, MeshTableMatchesArithmetic) {
   for (const auto routing : {RoutingAlgo::kXY, RoutingAlgo::kYX}) {
-    for (const auto [w, h] : {std::pair{2, 2}, {4, 4}, {3, 5}, {1, 6}}) {
+    for (const auto& [w, h] : {std::pair{2, 2}, {4, 4}, {3, 5}, {1, 6}}) {
       NocConfig config;
       config.width = w;
       config.height = h;

@@ -128,7 +128,7 @@ TEST(DatacenterSource, SameSeedSameStreamDifferentSeedDiverges) {
 }
 
 TEST(DatacenterSource, NextEventCycleNeverOvershoots) {
-  // Fast-forward contract: skipping straight to next_event_cycle and
+  // Skipping contract: jumping straight to next_event_cycle and
   // draining bursts there yields the same packet stream as polling every
   // cycle with maybe_generate.
   auto stepped = make_source(13);
@@ -187,7 +187,7 @@ TEST(DatacenterSource, BurstSlipDrainsBacklogDeterministically) {
     while (starved.generate_burst(t, &req, 1) == 1) {
       one_by_one.push_back(req);
       // Backlog left behind by a capped pull keeps the source hot at `now`
-      // — the invariant all three scheduler modes rely on to drain slipped
+      // — the invariant both scheduler modes rely on to drain slipped
       // packets on identical cycles.
       if (starved.next_event_cycle(t) == t) ever_pending = true;
     }

@@ -45,8 +45,11 @@ TEST(SyntheticSource, DeterministicPerSeed) {
 
 TEST(SyntheticSource, PacketLengthHonored) {
   SyntheticSource src(0, 0.5, 9, DestinationPattern(PatternKind::kUniform, 2, 2), 5);
-  for (sim::Cycle t = 0; t < 1000; ++t)
-    if (auto req = src.maybe_generate(t)) EXPECT_EQ(req->length, 9);
+  for (sim::Cycle t = 0; t < 1000; ++t) {
+    if (auto req = src.maybe_generate(t)) {
+      EXPECT_EQ(req->length, 9);
+    }
+  }
 }
 
 TEST(InstallSyntheticTraffic, EveryNodeGetsASource) {
