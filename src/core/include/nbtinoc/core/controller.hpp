@@ -114,7 +114,7 @@ class PolicyGateController final : public noc::IGateController {
   sim::FaultInjector* fault_injector() { return injector_; }
 
   /// True while the port's sensors are distrusted and the rr fallback runs.
-  bool quarantined(const noc::PortKey& key) const { return ports_.at(key).quarantined; }
+  bool quarantined(const noc::PortKey& key) const { return context(key).quarantined; }
   std::size_t quarantined_ports() const;
   /// The reading the policy actually acts on (corrupted + possibly stale
   /// under faults; equals sensors().measured_vth otherwise).
@@ -151,6 +151,10 @@ class PolicyGateController final : public noc::IGateController {
     int healthy_streak = 0;       ///< consecutive clean epochs (recovery)
   };
 
+  /// O(1) lookup through port_index_; throws std::out_of_range (like
+  /// map::at) for a port the controller does not cover.
+  const PortContext& context(const noc::PortKey& key) const;
+
   noc::GateCommand compute(const noc::PortKey& key, const noc::OutVcStateView& view,
                            bool new_traffic, sim::Cycle now);
   /// most_degraded_in over effective (fault-corrupted) readings, same
@@ -168,6 +172,11 @@ class PolicyGateController final : public noc::IGateController {
   /// cache is bypassed.
   bool shared_ = false;
   std::map<noc::PortKey, PortContext> ports_;
+  /// Flat (router * ports_per_router + port) index onto ports_' nodes
+  /// (map nodes never move), built once: the per-decision lookup. ports_
+  /// keeps the iteration order post_cycle, fault epochs and snapshots use.
+  std::vector<PortContext*> port_index_;
+  int ports_per_router_ = 0;
   sim::FaultInjector* injector_ = nullptr;
 
   /// Earliest sensor-refresh epoch across ports: fault-free post_cycle

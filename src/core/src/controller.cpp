@@ -90,25 +90,42 @@ PolicyGateController::PolicyGateController(noc::Network& network, PolicyConfig c
       ctx.effective_vths[i] = ctx.sensors.measured_vth(i);
     ports_.emplace(key, std::move(ctx));
   }
+  ports_per_router_ = cfg.ports_per_router();
+  port_index_.assign(static_cast<std::size_t>(network.num_routers() * ports_per_router_), nullptr);
+  for (auto& [key, ctx] : ports_) {
+    const int p = static_cast<int>(key.port);
+    if (key.router >= 0 && key.router < network.num_routers() && p >= 0 && p < ports_per_router_)
+      port_index_[static_cast<std::size_t>(key.router * ports_per_router_ + p)] = &ctx;
+  }
+}
+
+const PolicyGateController::PortContext& PolicyGateController::context(
+    const noc::PortKey& key) const {
+  const int p = static_cast<int>(key.port);
+  const long i = static_cast<long>(key.router) * ports_per_router_ + p;
+  if (p < 0 || p >= ports_per_router_ || i < 0 || i >= static_cast<long>(port_index_.size()) ||
+      port_index_[static_cast<std::size_t>(i)] == nullptr)
+    throw std::out_of_range("PolicyGateController: port not covered");
+  return *port_index_[static_cast<std::size_t>(i)];
 }
 
 const char* PolicyGateController::name() const { return name_.c_str(); }
 
 const nbti::NbtiSensorBank& PolicyGateController::sensors(const noc::PortKey& key) const {
-  return ports_.at(key).sensors;
+  return context(key).sensors;
 }
 
 const std::vector<double>& PolicyGateController::initial_vths(const noc::PortKey& key) const {
-  return ports_.at(key).initial_vths;
+  return context(key).initial_vths;
 }
 
 int PolicyGateController::most_degraded(const noc::PortKey& key) const {
-  return static_cast<int>(ports_.at(key).sensors.most_degraded());
+  return static_cast<int>(context(key).sensors.most_degraded());
 }
 
 int PolicyGateController::local_most_degraded(const noc::PortKey& key,
                                               const noc::OutVcStateView& view) const {
-  const auto global = ports_.at(key).sensors.most_degraded_in(
+  const auto global = context(key).sensors.most_degraded_in(
       static_cast<std::size_t>(view.first_vc()), static_cast<std::size_t>(view.num_vcs()));
   return static_cast<int>(global) - view.first_vc();
 }
@@ -168,7 +185,7 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
                              config_.kind == PolicyKind::kSensorRank ||
                              config_.kind == PolicyKind::kSensorWiseSlotMd;
   if (faulted && sensor_policy) {
-    const PortContext& ctx = ports_.at(key);
+    const PortContext& ctx = context(key);
     if (ctx.quarantined) {
       if (config_.kind == PolicyKind::kSensorWiseSlotMd) {
         // Slot policies fall back to the slot-form sensor-less baseline —
@@ -217,7 +234,7 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
     case PolicyKind::kSensorWise:
       return sensor_wise_decide(view, local_most_degraded(key, view), new_traffic);
     case PolicyKind::kSensorRank: {
-      const auto& sensors = ports_.at(key).sensors;
+      const auto& sensors = context(key).sensors;
       degradation_scratch_.resize(static_cast<std::size_t>(view.num_vcs()));
       for (int i = 0; i < view.num_vcs(); ++i)
         degradation_scratch_[static_cast<std::size_t>(i)] =
@@ -225,7 +242,7 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
       return sensor_rank_decide(view, degradation_scratch_, new_traffic);
     }
     case PolicyKind::kSensorWiseSlotMd: {
-      const auto& sensors = ports_.at(key).sensors;
+      const auto& sensors = context(key).sensors;
       const noc::SharedBufferPool& pool = *view.unit()->pool();
       degradation_scratch_.resize(sensors.size());
       for (std::size_t s = 0; s < sensors.size(); ++s)
@@ -345,7 +362,7 @@ std::size_t PolicyGateController::quarantined_ports() const {
 }
 
 double PolicyGateController::effective_vth(const noc::PortKey& key, int vc) const {
-  return ports_.at(key).effective_vths.at(static_cast<std::size_t>(vc));
+  return context(key).effective_vths.at(static_cast<std::size_t>(vc));
 }
 
 void PolicyGateController::save(sim::SnapshotWriter& w) const {

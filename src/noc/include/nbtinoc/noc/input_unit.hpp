@@ -6,6 +6,8 @@
 // out-VC-state table is a (zero-skew) view over it, exactly the information
 // the upstream VA stage maintains in hardware.
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -39,7 +41,9 @@ class InputUnit {
         trackers_(std::move(other.trackers_)),
         sa_arbiter_(std::move(other.sa_arbiter_)),
         busy_vcs_(other.busy_vcs_),
-        gated_vcs_(other.gated_vcs_) {
+        gated_vcs_(other.gated_vcs_),
+        va_pending_(std::move(other.va_pending_)),
+        pending_heads_(std::move(other.pending_heads_)) {
     // The pool lives on the heap, so descriptor/tracker pointers into it
     // survive the move untouched; only pointers into *this* need rebinding.
     for (std::size_t i = 0; i < vcs_.size(); ++i) {
@@ -93,6 +97,7 @@ class InputUnit {
   //     currently resident in vc i ------------------------------------------
   int out_vc(int i) const { return out_vc_.at(static_cast<std::size_t>(i)); }
   Dir out_port(int i) const { return out_port_.at(static_cast<std::size_t>(i)); }
+  /// Records VA's grant for vc i (its head leaves the VA-pending set).
   void assign_output(int i, Dir port, int downstream_vc);
   void clear_output(int i);
   bool has_output(int i) const { return out_vc(i) != kInvalidVc; }
@@ -101,19 +106,52 @@ class InputUnit {
   /// clears its downstream allocation. Returns the flits dropped.
   int purge_vc(int i) {
     clear_output(i);
-    return vc(i).purge();
+    const int dropped = vc(i).purge();
+    refresh_va_pending(i);
+    return dropped;
   }
 
-  /// True if vc i holds a routed head flit still waiting for an output VC —
-  /// the "new packet" notion of is_new_traffic_outport_x().
-  bool waiting_for_va(int i, sim::Cycle now) const;
-  /// Any VC waiting for VA toward output port `port`?
-  bool has_new_traffic_toward(Dir port, sim::Cycle now) const;
-  /// Same, restricted to packets of one virtual network.
-  bool has_new_traffic_toward(Dir port, int vnet, sim::Cycle now) const;
-  /// Same, further restricted to packets needing downstream dateline class
-  /// `cls` — the per-class gating decision's traffic signal.
-  bool has_new_traffic_toward(Dir port, int vnet, int cls, sim::Cycle now) const;
+  // --- VA-pending set ---------------------------------------------------------
+  // The VCs holding a routed head flit with no output VC yet — the "new
+  // packet" notion of is_new_traffic_outport_x() and the VA stage's request
+  // candidates. Kept incrementally at the points where that state changes
+  // (head write, VA grant, purge, reroute, snapshot load), together with
+  // the head's RC key, so both readers visit only the set bits. Whether a
+  // head has cleared the pipeline is time-dependent and stays a per-cycle
+  // check (flit_eligible on the cached arrival cycle).
+
+  /// RC key of a VA-pending head, cached at buffer write.
+  struct PendingHead {
+    sim::Cycle arrived_at = 0;  ///< buffer-write cycle of the head flit
+    Dir route = Dir::Local;     ///< RC output port
+    int vnet = 0;               ///< virtual network of the packet
+    int next_class = 0;         ///< downstream dateline class
+  };
+
+  bool va_pending(int i) const {
+    return (va_pending_[static_cast<std::size_t>(i) >> 6] >> (i & 63)) & 1u;
+  }
+  /// The cached key of vc i; meaningful only while va_pending(i).
+  const PendingHead& pending_head(int i) const {
+    return pending_heads_[static_cast<std::size_t>(i)];
+  }
+  /// Calls f(vc, head) for every VA-pending VC, in VC order. `f` may
+  /// remove the visited VC from the set (assign_output).
+  template <typename F>
+  void for_each_va_pending(F&& f) const {
+    for (std::size_t w = 0; w < va_pending_.size(); ++w)
+      for (std::uint64_t bits = va_pending_[w]; bits != 0; bits &= bits - 1) {
+        const int v = static_cast<int>(w * 64) + std::countr_zero(bits);
+        f(v, pending_heads_[static_cast<std::size_t>(v)]);
+      }
+  }
+  /// True if vc i is VA-pending and its head is eligible this cycle.
+  bool waiting_for_va(int i, sim::Cycle now) const {
+    return va_pending(i) && flit_eligible(pending_head(i).arrived_at, now);
+  }
+  /// Re-runs RC for VA-pending vc i (structural-fault reroute): stores the
+  /// new route and class in the buffer and re-keys the pending head.
+  void reroute_head(int i, Dir route, int next_class);
 
   // --- datapath --------------------------------------------------------------
   /// Buffer write (+ RC on head flits). `route` / `next_class` are the
@@ -149,10 +187,10 @@ class InputUnit {
   /// Round-robin pointer for SA VC selection within this port.
   RoundRobinArbiter& sa_arbiter() { return sa_arbiter_; }
 
-  /// A buffered flit is eligible for VA/SA once it has aged past the buffer
-  /// write plus any extra pipeline stages.
-  bool flit_eligible(const Flit& flit, sim::Cycle now) const {
-    return flit.arrived_at + static_cast<sim::Cycle>(extra_stages_) < now;
+  /// A buffered flit written at `arrived_at` is eligible for VA/SA once it
+  /// has aged past the buffer write plus any extra pipeline stages.
+  bool flit_eligible(sim::Cycle arrived_at, sim::Cycle now) const {
+    return arrived_at + static_cast<sim::Cycle>(extra_stages_) < now;
   }
 
   // --- checkpoint/restore ----------------------------------------------------
@@ -173,11 +211,14 @@ class InputUnit {
     trackers_.load(r);
     sa_arbiter_.set_pointer(static_cast<std::size_t>(r.u64()));
     if (pool_ != nullptr) pool_->load(r);
+    for (int i = 0; i < num_vcs(); ++i) refresh_va_pending(i);
   }
 
  private:
   void apply_slot_gate_command(const GateCommand& cmd, sim::Cycle now,
                                sim::FaultInjector* faults);
+  /// Recomputes vc i's VA-pending bit and key from the buffer itself.
+  void refresh_va_pending(int i);
 
   Dir dir_;
   int extra_stages_;
@@ -189,6 +230,8 @@ class InputUnit {
   RoundRobinArbiter sa_arbiter_;
   int busy_vcs_ = 0;
   int gated_vcs_ = 0;
+  std::vector<std::uint64_t> va_pending_;  ///< bit i: vc i is VA-pending
+  std::vector<PendingHead> pending_heads_;  ///< per-VC key, valid where set
 };
 
 }  // namespace nbtinoc::noc

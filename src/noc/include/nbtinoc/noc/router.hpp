@@ -96,13 +96,15 @@ class Router {
     return downstream_iu_[static_cast<std::size_t>(dir)];
   }
 
+  /// Wildcard `vnet` for has_new_traffic_toward: any vnet, any class.
+  static constexpr int kAnyVnet = -1;
   /// True if any input VC holds a routed head flit toward `out` that has no
-  /// output VC yet — is_new_traffic_outport_x() of Algorithms 1 and 2.
-  bool has_new_traffic_toward(Dir out, sim::Cycle now) const;
-  /// Same, restricted to packets of one virtual network.
-  bool has_new_traffic_toward(Dir out, int vnet, sim::Cycle now) const;
-  /// Same, further restricted to one downstream dateline class (the
-  /// per-class gating decision's traffic signal).
+  /// output VC yet and is eligible at `now` — is_new_traffic_outport_x() of
+  /// Algorithms 1 and 2. Restricted to packets of virtual network `vnet`
+  /// needing downstream dateline class `cls` (the per-(vnet, class) gating
+  /// decision's signal), or, with vnet == kAnyVnet, the whole port (the
+  /// shared organization's per-port signal; `cls` is then ignored). Reads
+  /// only the input units' VA-pending sets.
   bool has_new_traffic_toward(Dir out, int vnet, int cls, sim::Cycle now) const;
 
   // --- routing ---------------------------------------------------------------
@@ -131,7 +133,7 @@ class Router {
   bool dead() const { return dead_; }
 
   /// Re-runs RC (against the regenerated tables / candidate sets) for every
-  /// buffered head flit still waiting for VA. Called once per kill, after
+  /// VA-pending head flit, eligible or not. Called once per kill, after
   /// the purge pass has removed everything illegal.
   void reroute_waiting_heads(sim::Cycle now);
 
@@ -155,7 +157,7 @@ class Router {
   const std::string& flits_out_stat_key() const { return flits_out_key_; }
 
   /// True when any input port holds an Active VC — the O(ports) gate in
-  /// front of the VA/SA scans (see va_stage), and the active-set
+  /// front of the SA scan (see sa_st_stage), and the active-set
   /// scheduler's "this router still has datapath work" signal.
   bool any_busy_input() const;
 

@@ -66,10 +66,14 @@ class PortStateProbe {
 ///      accountably dropped by structural-fault drains (self-resyncs
 ///      across StatRegistry resets such as the warmup fence);
 ///   4. no deadlock: whenever flits are resident, some global movement
-///      counter must advance within `deadlock_threshold` cycles.
+///      counter must advance within `deadlock_threshold` cycles;
+///   5. every input unit's VA-pending set (and each pending head's cached
+///      route, vnet, next class and arrival) equals a from-scratch scan of
+///      its buffers: Active, non-empty, no output VC, head at the front.
+///      Eligibility is time-dependent and not part of the set.
 ///
 /// Under the active-set scheduler (Network::scheduler_mode() ==
-/// SchedulerMode::kActiveSet) a fifth audit runs: every *parked* component
+/// SchedulerMode::kActiveSet) a sixth audit runs: every *parked* component
 /// (absent from the next cycle's active set) must be provably idle — no
 /// busy input VC, gating at its fixed point, and no inbound link payload
 /// deliverable soon enough that skipping the component could change
@@ -117,6 +121,7 @@ class InvariantChecker {
   void check_credit_conservation(sim::Cycle cycle);
   void check_flit_conservation(sim::Cycle cycle);
   void check_deadlock(sim::Cycle cycle);
+  void check_va_pending(sim::Cycle cycle);
   void check_active_set(sim::Cycle cycle);
 
   const Network* network_;

@@ -21,7 +21,9 @@ InputUnit::InputUnit(Dir dir, const NocConfig& config)
       out_vc_(static_cast<std::size_t>(config.total_vcs()), kInvalidVc),
       out_port_(static_cast<std::size_t>(config.total_vcs()), Dir::Local),
       trackers_(static_cast<std::size_t>(config.buffers_per_port())),
-      sa_arbiter_(static_cast<std::size_t>(config.total_vcs())) {
+      sa_arbiter_(static_cast<std::size_t>(config.total_vcs())),
+      va_pending_((static_cast<std::size_t>(config.total_vcs()) + 63) / 64, 0),
+      pending_heads_(static_cast<std::size_t>(config.total_vcs())) {
   // Event-driven NBTI accounting: each gateable unit (VC buffer, or pool
   // slot under the shared organization) reports its gate/wake transitions
   // straight to its tracker. The banks are sized once here and never
@@ -42,47 +44,34 @@ InputUnit::InputUnit(Dir dir, const NocConfig& config)
 void InputUnit::assign_output(int i, Dir port, int downstream_vc) {
   out_vc_.at(static_cast<std::size_t>(i)) = downstream_vc;
   out_port_.at(static_cast<std::size_t>(i)) = port;
+  va_pending_[static_cast<std::size_t>(i) >> 6] &= ~(std::uint64_t{1} << (i & 63));
 }
 
 void InputUnit::clear_output(int i) {
   out_vc_.at(static_cast<std::size_t>(i)) = kInvalidVc;
   out_port_.at(static_cast<std::size_t>(i)) = Dir::Local;
+  refresh_va_pending(i);
 }
 
-bool InputUnit::waiting_for_va(int i, sim::Cycle now) const {
+void InputUnit::refresh_va_pending(int i) {
   const VcBuffer& buf = vc(i);
-  if (!buf.is_active() || buf.empty() || has_output(i)) return false;
+  std::uint64_t& word = va_pending_[static_cast<std::size_t>(i) >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+  if (!buf.is_active() || buf.empty() || has_output(i) || !is_head(buf.front().type)) {
+    word &= ~bit;
+    return;
+  }
   const Flit& front = buf.front();
-  // Head at the front, already buffer-written (BW stage completed strictly
-  // before this cycle, plus any extra pipeline depth), RC result stored.
-  return is_head(front.type) && flit_eligible(front, now);
+  pending_heads_[static_cast<std::size_t>(i)] =
+      PendingHead{front.arrived_at, buf.route(), front.vnet, buf.next_class()};
+  word |= bit;
 }
 
-bool InputUnit::has_new_traffic_toward(Dir port, sim::Cycle now) const {
-  if (busy_vcs_ == 0) return false;
-  for (int i = 0; i < num_vcs(); ++i) {
-    if (waiting_for_va(i, now) && vc(i).route() == port) return true;
-  }
-  return false;
-}
-
-bool InputUnit::has_new_traffic_toward(Dir port, int vnet, sim::Cycle now) const {
-  if (busy_vcs_ == 0) return false;
-  for (int i = 0; i < num_vcs(); ++i) {
-    if (waiting_for_va(i, now) && vc(i).route() == port && vc(i).front().vnet == vnet)
-      return true;
-  }
-  return false;
-}
-
-bool InputUnit::has_new_traffic_toward(Dir port, int vnet, int cls, sim::Cycle now) const {
-  if (busy_vcs_ == 0) return false;
-  for (int i = 0; i < num_vcs(); ++i) {
-    if (waiting_for_va(i, now) && vc(i).route() == port && vc(i).next_class() == cls &&
-        vc(i).front().vnet == vnet)
-      return true;
-  }
-  return false;
+void InputUnit::reroute_head(int i, Dir route, int next_class) {
+  VcBuffer& buf = vc(i);
+  buf.set_route(route);
+  buf.set_next_class(next_class);
+  refresh_va_pending(i);
 }
 
 void InputUnit::receive_flit(const Flit& flit, Dir route, int next_class, sim::Cycle now) {
@@ -96,6 +85,8 @@ void InputUnit::receive_flit(const Flit& flit, Dir route, int next_class, sim::C
     buf.set_next_class(next_class);
   }
   buf.push(stored);
+  // Body and tail writes land behind the head: only a head changes the set.
+  if (is_head(flit.type)) refresh_va_pending(flit.vc);
 }
 
 void InputUnit::apply_gate_command(const GateCommand& cmd, sim::Cycle now,

@@ -260,7 +260,8 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
         new_traffic = ni(topo_->terminal_of(id, local_slot(port))).has_new_traffic(now);
       } else {
         const NodeId upstream = topo_->neighbor(id, port);
-        new_traffic = router(upstream).has_new_traffic_toward(opposite(port), now);
+        new_traffic =
+            router(upstream).has_new_traffic_toward(opposite(port), Router::kAnyVnet, 0, now);
       }
       const OutVcStateView view(&r.input(port));
       GateCommand cmd = controller_->decide(PortKey{id, port}, view, new_traffic, now);

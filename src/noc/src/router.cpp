@@ -152,46 +152,28 @@ RouteEntry Router::degraded_adaptive_route(Dir in_port, const Flit& flit,
 void Router::reroute_waiting_heads(sim::Cycle now) {
   (void)now;
   if (dead_) return;
-  const int num_vcs = config_.total_vcs();
   for (int p = 0; p < ports_; ++p) {
     const auto& iu = inputs_[static_cast<std::size_t>(p)];
     if (!iu) continue;
-    if (iu->busy_vcs() == 0) continue;
-    for (int v = 0; v < num_vcs; ++v) {
-      VcBuffer& buf = iu->vc(v);
-      if (!buf.is_active() || buf.empty() || iu->has_output(v)) continue;
-      const Flit& front = buf.front();
-      if (!is_head(front.type)) continue;
-      const RouteEntry entry = route_for(static_cast<Dir>(p), front);
-      if (!entry.reachable()) continue;  // doomed packets were purged already
-      buf.set_route(entry.dir());
-      buf.set_next_class(entry.vc_class);
-    }
+    iu->for_each_va_pending([&](int v, const InputUnit::PendingHead&) {
+      const RouteEntry entry = route_for(static_cast<Dir>(p), iu->vc(v).front());
+      if (!entry.reachable()) return;  // doomed packets were purged already
+      iu->reroute_head(v, entry.dir(), entry.vc_class);
+    });
   }
-}
-
-bool Router::has_new_traffic_toward(Dir out, sim::Cycle now) const {
-  for (int p = 0; p < ports_; ++p) {
-    const auto& iu = inputs_[static_cast<std::size_t>(p)];
-    if (iu && iu->has_new_traffic_toward(out, now)) return true;
-  }
-  return false;
-}
-
-bool Router::has_new_traffic_toward(Dir out, int vnet, sim::Cycle now) const {
-  for (int p = 0; p < ports_; ++p) {
-    const auto& iu = inputs_[static_cast<std::size_t>(p)];
-    if (iu && iu->has_new_traffic_toward(out, vnet, now)) return true;
-  }
-  return false;
 }
 
 bool Router::has_new_traffic_toward(Dir out, int vnet, int cls, sim::Cycle now) const {
-  for (int p = 0; p < ports_; ++p) {
+  bool found = false;
+  for (int p = 0; p < ports_ && !found; ++p) {
     const auto& iu = inputs_[static_cast<std::size_t>(p)];
-    if (iu && iu->has_new_traffic_toward(out, vnet, cls, now)) return true;
+    if (!iu) continue;
+    iu->for_each_va_pending([&](int, const InputUnit::PendingHead& h) {
+      if (h.route != out || !iu->flit_eligible(h.arrived_at, now)) return;
+      if (vnet == kAnyVnet || (h.vnet == vnet && h.next_class == cls)) found = true;
+    });
   }
-  return false;
+  return found;
 }
 
 bool Router::any_busy_input() const {
@@ -209,25 +191,32 @@ bool Router::inbound_links_quiet() const {
 }
 
 void Router::va_stage(sim::Cycle now) {
-  // No Active VC on any input port means no VA request can exist, and the
-  // request-less scan below has no side effects (arbiters only advance on a
-  // grant). Skipping it keeps idle routers O(ports) per cycle.
-  if (dead_ || !any_busy_input()) return;
+  if (dead_) return;
   const int num_vcs = config_.total_vcs();
   const int num_classes = config_.vc_classes();
+  // Only VA-pending heads can request, and only eligible ones do. One pass
+  // over the pending sets serves ejection and collects the cardinal outputs
+  // that have a request at all; the rest skip their downstream scan. An
+  // empty pass has no side effects (arbiters only advance on a grant), so
+  // idle routers stay O(ports) per cycle.
   // Ejection (local output) has no VC buffers downstream: every packet
   // routed there is "allocated" immediately; SA serializes the bandwidth.
+  unsigned requested_outs = 0;
   for (int p = 0; p < ports_; ++p) {
     const auto& iu = inputs_[static_cast<std::size_t>(p)];
     if (!iu) continue;
-    for (int v = 0; v < num_vcs; ++v)
-      if (iu->waiting_for_va(v, now) && is_local(iu->vc(v).route()))
-        iu->assign_output(v, iu->vc(v).route(), 0);
+    iu->for_each_va_pending([&](int v, const InputUnit::PendingHead& h) {
+      if (!iu->flit_eligible(h.arrived_at, now)) return;
+      if (is_local(h.route))
+        iu->assign_output(v, h.route, 0);
+      else
+        requested_outs |= 1u << static_cast<int>(h.route);
+    });
   }
 
-  for (int o = 0; o < ports_; ++o) {
+  for (int o = 0; o < kFirstLocalPort; ++o) {
+    if ((requested_outs >> o & 1u) == 0) continue;
     const Dir out = static_cast<Dir>(o);
-    if (is_local(out)) continue;  // handled above
     auto& ou = outputs_[static_cast<std::size_t>(o)];
     if (!ou) continue;
     InputUnit* diu = downstream_iu_[static_cast<std::size_t>(o)];
@@ -251,21 +240,20 @@ void Router::va_stage(sim::Cycle now) {
       }
     }
 
-    // Gather requests: input VCs holding a routed head with no output VC,
-    // whose (vnet, class) has a free downstream VC.
+    // Gather requests: eligible VA-pending heads routed to `out` whose
+    // (vnet, class) has a free downstream VC.
     va_requests_.clear();
     bool any = false;
     for (int p = 0; p < ports_; ++p) {
       const auto& iu = inputs_[static_cast<std::size_t>(p)];
       if (!iu) continue;
-      for (int v = 0; v < num_vcs; ++v) {
-        if (iu->waiting_for_va(v, now) && iu->vc(v).route() == out &&
-            vnet_has_free_.test(static_cast<std::size_t>(
-                iu->vc(v).front().vnet * num_classes + iu->vc(v).next_class()))) {
+      iu->for_each_va_pending([&](int v, const InputUnit::PendingHead& h) {
+        if (h.route == out && iu->flit_eligible(h.arrived_at, now) &&
+            vnet_has_free_.test(static_cast<std::size_t>(h.vnet * num_classes + h.next_class))) {
           va_requests_.set(static_cast<std::size_t>(p * num_vcs + v));
           any = true;
         }
-      }
+      });
     }
     if (!any) continue;
 
@@ -274,8 +262,8 @@ void Router::va_stage(sim::Cycle now) {
     const int port = winner / num_vcs;
     const int vc = winner % num_vcs;
     InputUnit& iu = *inputs_[static_cast<std::size_t>(port)];
-    const int vnet = iu.vc(vc).front().vnet;
-    const int cls = iu.vc(vc).next_class();
+    const int vnet = iu.pending_head(vc).vnet;
+    const int cls = iu.pending_head(vc).next_class;
 
     // Pick the free downstream VC within the winner's (vnet, class)
     // subrange; fair rotation when several are awake (the non-gating
@@ -302,8 +290,8 @@ void Router::va_stage(sim::Cycle now) {
 }
 
 void Router::sa_st_stage(sim::Cycle now) {
-  // SA readiness requires a non-empty (hence Active) VC: same O(ports)
-  // idle skip as va_stage, equally side-effect-free.
+  // SA readiness requires a non-empty (hence Active) VC: an O(ports) idle
+  // skip, side-effect-free like the request-less VA pass.
   if (dead_ || !any_busy_input()) return;
   const int num_vcs = config_.total_vcs();
 
@@ -316,7 +304,8 @@ void Router::sa_st_stage(sim::Cycle now) {
     bool any = false;
     for (int v = 0; v < num_vcs; ++v) {
       const VcBuffer& buf = iu->vc(v);
-      if (!iu->has_output(v) || buf.empty() || !iu->flit_eligible(buf.front(), now)) continue;
+      if (!iu->has_output(v) || buf.empty() || !iu->flit_eligible(buf.front().arrived_at, now))
+        continue;
       const Dir out = iu->out_port(v);
       if (!is_local(out)) {
         const auto& ou = outputs_[static_cast<std::size_t>(out)];

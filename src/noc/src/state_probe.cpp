@@ -92,6 +92,7 @@ std::size_t InvariantChecker::check() {
   check_credit_conservation(cycle);
   check_flit_conservation(cycle);
   check_deadlock(cycle);
+  check_va_pending(cycle);
   if (network_->scheduler_mode() == SchedulerMode::kActiveSet) check_active_set(cycle);
   ++cycles_checked_;
   return violations_.size() - before;
@@ -119,6 +120,42 @@ void InvariantChecker::check_gated_buffers(sim::Cycle cycle) {
           record(cycle, "flit(s) resident in gated buffer r" + std::to_string(id) + ":" +
                             dir_letter(port) + " vc" + std::to_string(v) + " (occupancy " +
                             std::to_string(buf.occupancy()) + ")");
+      }
+    }
+  }
+}
+
+void InvariantChecker::check_va_pending(sim::Cycle cycle) {
+  const NocConfig& cfg = network_->config();
+  for (NodeId id = 0; id < network_->num_routers(); ++id) {
+    const Router& r = network_->router(id);
+    for (int p = 0; p < r.num_ports(); ++p) {
+      const Dir port = static_cast<Dir>(p);
+      if (!r.has_input(port)) continue;
+      const InputUnit& iu = r.input(port);
+      for (int v = 0; v < cfg.total_vcs(); ++v) {
+        const VcBuffer& buf = iu.vc(v);
+        const bool expected = buf.is_active() && !buf.empty() && !iu.has_output(v) &&
+                              is_head(buf.front().type);
+        const auto where = [&] {
+          return "r" + std::to_string(id) + ":" + dir_letter(port) + " vc" + std::to_string(v);
+        };
+        if (iu.va_pending(v) != expected) {
+          record(cycle, "VA-pending bit of " + where() + " is " +
+                            (expected ? "clear" : "set") + ", buffer scan says " +
+                            (expected ? "pending" : "not pending"));
+          continue;
+        }
+        if (!expected) continue;
+        const InputUnit::PendingHead& h = iu.pending_head(v);
+        if (h.route != buf.route() || h.vnet != buf.front().vnet ||
+            h.next_class != buf.next_class() || h.arrived_at != buf.front().arrived_at)
+          record(cycle, "VA-pending key of " + where() + " (route " + to_string(h.route) +
+                            ", vnet " + std::to_string(h.vnet) + ", class " +
+                            std::to_string(h.next_class) + ") differs from its buffer (route " +
+                            to_string(buf.route()) + ", vnet " +
+                            std::to_string(buf.front().vnet) + ", class " +
+                            std::to_string(buf.next_class()) + ")");
       }
     }
   }

@@ -55,6 +55,21 @@ struct DatacenterProfile {
   void validate() const;
 };
 
+/// One node's activity profile as an event-compressed step function over
+/// [0, profile_horizon): segment i holds `active[i]` ON sessions from
+/// `start[i]` up to the next start. start[0] == 0 and adjacent counts differ.
+struct ActivitySegments {
+  std::vector<sim::Cycle> start;
+  std::vector<int> active;
+};
+
+/// Draws `profile.users_per_node` Pareto ON/OFF sessions from `rng` (user
+/// by user, each phase in time order) and composes them into segments from
+/// their sorted ON/OFF edges. Does not validate `profile`: zero users gives
+/// the single all-OFF segment.
+ActivitySegments build_activity_segments(const DatacenterProfile& profile,
+                                         util::Xoshiro256& rng);
+
 /// One node's aggregate source. Deterministic: the activity profile and the
 /// emission stream both derive from the construction seed alone.
 class DatacenterAggregateSource final : public noc::ITrafficSource {
@@ -91,8 +106,6 @@ class DatacenterAggregateSource final : public noc::ITrafficSource {
   }
 
  private:
-  void build_activity_profile();
-  sim::Cycle pareto_cycles(double mean);  ///< one heavy-tailed phase length (draws)
   /// Packets/cycle at `cycle`; `span` receives how long that rate holds.
   /// Monotone-cursor lookup — callers advance cycle between calls.
   double lambda_at(sim::Cycle cycle, sim::Cycle& span);

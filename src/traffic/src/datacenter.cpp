@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace nbtinoc::traffic {
 
@@ -49,66 +50,76 @@ DatacenterAggregateSource::DatacenterAggregateSource(noc::NodeId src,
   // Consumes a deterministic prefix of rng_; the emission stream continues
   // from wherever the build leaves it, so the whole source is a pure
   // function of (profile, seed).
-  build_activity_profile();
+  ActivitySegments segments = build_activity_segments(profile_, rng_);
+  seg_start_ = std::move(segments.start);
+  seg_active_ = std::move(segments.active);
+  seg_lambda_.reserve(seg_active_.size());
+  for (const int active : seg_active_)
+    seg_lambda_.push_back(static_cast<double>(active) * profile_.user_rate /
+                          profile_.packet_length);
+  max_lambda_ = *std::max_element(seg_lambda_.begin(), seg_lambda_.end());
 }
 
-sim::Cycle DatacenterAggregateSource::pareto_cycles(double mean) {
-  // Pareto with the requested mean: x_m = mean * (alpha - 1) / alpha, then
-  // invert the CDF on one uniform. Durations are clamped to [1, horizon]:
-  // anything past the horizon truncates identically when the profile is
-  // marked, so the clamp is observationally free (and keeps the double ->
-  // Cycle cast in range on extreme tail draws).
-  const double a = profile_.pareto_alpha;
+namespace {
+/// One heavy-tailed phase length (one uniform draw). Pareto with the
+/// requested mean: x_m = mean * (alpha - 1) / alpha, then invert the CDF.
+/// Durations are clamped to [1, horizon]: anything past the horizon
+/// truncates identically when the profile is marked, so the clamp is
+/// observationally free (and keeps the double -> Cycle cast in range on
+/// extreme tail draws).
+sim::Cycle pareto_cycles(const DatacenterProfile& profile, util::Xoshiro256& rng, double mean) {
+  const double a = profile.pareto_alpha;
   const double xm = mean * (a - 1.0) / a;
-  const double u = rng_.next_double();
+  const double u = rng.next_double();
   const double d = std::ceil(xm / std::pow(1.0 - u, 1.0 / a));
-  const double clamped =
-      std::min(static_cast<double>(profile_.profile_horizon), std::max(1.0, d));
+  const double clamped = std::min(static_cast<double>(profile.profile_horizon), std::max(1.0, d));
   return static_cast<sim::Cycle>(clamped);
 }
+}  // namespace
 
-void DatacenterAggregateSource::build_activity_profile() {
-  const sim::Cycle horizon = profile_.profile_horizon;
-  std::vector<int> delta(static_cast<std::size_t>(horizon) + 1, 0);
-  const double p_on =
-      profile_.mean_on_cycles / (profile_.mean_on_cycles + profile_.mean_off_cycles);
-  for (int user = 0; user < profile_.users_per_node; ++user) {
+ActivitySegments build_activity_segments(const DatacenterProfile& profile,
+                                         util::Xoshiro256& rng) {
+  const sim::Cycle horizon = profile.profile_horizon;
+  const double p_on = profile.mean_on_cycles / (profile.mean_on_cycles + profile.mean_off_cycles);
+  // (cycle, +1 / -1) edges of every ON phase; an edge at the horizon never
+  // takes effect inside the profile, so it is not recorded.
+  std::vector<std::pair<sim::Cycle, int>> edges;
+  for (int user = 0; user < profile.users_per_node; ++user) {
     // Stationary start: pick the phase by its long-run weight and enter it
     // mid-flight (a residual fraction of a fresh duration) so the
     // population does not phase-synchronize at cycle 0.
-    bool on = rng_.next_bernoulli(p_on);
+    bool on = rng.next_bernoulli(p_on);
+    const sim::Cycle fresh =
+        pareto_cycles(profile, rng, on ? profile.mean_on_cycles : profile.mean_off_cycles);
     sim::Cycle dur = std::max<sim::Cycle>(
-        1, static_cast<sim::Cycle>(
-               std::ceil(static_cast<double>(pareto_cycles(
-                             on ? profile_.mean_on_cycles : profile_.mean_off_cycles)) *
-                         rng_.next_double())));
+        1, static_cast<sim::Cycle>(std::ceil(static_cast<double>(fresh) * rng.next_double())));
     sim::Cycle t = 0;
     while (t < horizon) {
       if (on) {
-        ++delta[static_cast<std::size_t>(t)];
-        --delta[static_cast<std::size_t>(std::min(horizon, t + dur))];
+        edges.emplace_back(t, +1);
+        if (t + dur < horizon) edges.emplace_back(t + dur, -1);
       }
       t += dur;
       on = !on;
-      dur = pareto_cycles(on ? profile_.mean_on_cycles : profile_.mean_off_cycles);
+      dur = pareto_cycles(profile, rng, on ? profile.mean_on_cycles : profile.mean_off_cycles);
     }
   }
-  seg_start_.clear();
-  seg_lambda_.clear();
-  seg_active_.clear();
+  std::sort(edges.begin(), edges.end());
+  // Coalesce the edges of each cycle; a segment starts wherever the count
+  // changes, plus the cycle-0 segment.
+  ActivitySegments out{{0}, {0}};
   int active = 0;
-  int prev = -1;
-  for (sim::Cycle c = 0; c < horizon; ++c) {
-    active += delta[static_cast<std::size_t>(c)];
-    if (active != prev) {
-      seg_start_.push_back(c);
-      seg_active_.push_back(active);
-      seg_lambda_.push_back(static_cast<double>(active) * profile_.user_rate /
-                            profile_.packet_length);
-      prev = active;
+  for (std::size_t i = 0; i < edges.size();) {
+    const sim::Cycle c = edges[i].first;
+    while (i < edges.size() && edges[i].first == c) active += edges[i++].second;
+    if (c == 0) {
+      out.active[0] = active;
+    } else if (active != out.active.back()) {
+      out.start.push_back(c);
+      out.active.push_back(active);
     }
   }
-  max_lambda_ = *std::max_element(seg_lambda_.begin(), seg_lambda_.end());
+  return out;
 }
 
 double DatacenterAggregateSource::lambda_at(sim::Cycle cycle, sim::Cycle& span) {

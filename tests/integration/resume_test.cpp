@@ -10,8 +10,11 @@
 
 #include <string>
 
+#include "nbtinoc/core/controller.hpp"
 #include "nbtinoc/core/experiment.hpp"
+#include "nbtinoc/noc/state_probe.hpp"
 #include "nbtinoc/sim/snapshot.hpp"
+#include "nbtinoc/traffic/synthetic.hpp"
 #include "nbtinoc/util/rng.hpp"
 
 namespace nbtinoc::core {
@@ -133,6 +136,68 @@ TEST(ResumeTest, PostStructuralKillRoundTrips) {
   for (const sim::Cycle at : {sim::Cycle{1'200}, sim::Cycle{2'500}}) {
     expect_resume_equal(s, PolicyKind::kSensorWise, Workload::synthetic(), options, at,
                         noc::SchedulerMode::kStepped, noc::SchedulerMode::kActiveSet);
+  }
+}
+
+/// A loaded sensor-wise network with its controller attached, built the
+/// same way on both sides of a save/restore.
+struct LoadedNetwork {
+  explicit LoadedNetwork(const noc::NocConfig& cfg, const nbti::NbtiModel& model)
+      : net(cfg), ctrl(net, PolicyConfig{}, model, nbti::OperatingPoint{}, nbti::PvConfig{}, 11) {
+    traffic::install_uniform_traffic(net, 0.35, 5);
+    ctrl.attach();
+  }
+  std::string state() const {
+    sim::SnapshotWriter w;
+    net.save_state(w);
+    ctrl.save(w);
+    return w.take();
+  }
+  int pending_heads() const {
+    int n = 0;
+    for (noc::NodeId id = 0; id < net.num_routers(); ++id)
+      for (int p = 0; p < net.config().ports_per_router(); ++p) {
+        const noc::Router& r = net.router(id);
+        if (!r.has_input(static_cast<noc::Dir>(p))) continue;
+        r.input(static_cast<noc::Dir>(p))
+            .for_each_va_pending([&](int, const noc::InputUnit::PendingHead&) { ++n; });
+      }
+    return n;
+  }
+  noc::Network net;
+  PolicyGateController ctrl;
+};
+
+TEST(ResumeTest, MidBurstPendingHeadsRoundTripUnderEachEngine) {
+  // The VA-pending sets are derived state, absent from the snapshot: the
+  // load must rebuild them so the resumed run continues bit for bit.
+  noc::NocConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  cfg.num_vcs = 2;
+  cfg.num_vnets = 2;
+  const nbti::NbtiModel model = nbti::NbtiModel::calibrated(nbti::NbtiParams{}, {});
+  for (const auto mode : {noc::SchedulerMode::kStepped, noc::SchedulerMode::kActiveSet}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    LoadedNetwork plain(cfg, model);
+    plain.net.set_scheduler_mode(mode);
+    plain.net.run(1'500);
+    ASSERT_GT(plain.pending_heads(), 0) << "pause point must hold VA-pending heads";
+    const std::string saved = plain.state();
+
+    LoadedNetwork resumed(cfg, model);
+    sim::SnapshotReader reader(saved);
+    resumed.net.load_state(reader);
+    resumed.ctrl.load(reader);
+    reader.expect_end();
+    resumed.net.set_scheduler_mode(mode);
+    EXPECT_EQ(resumed.pending_heads(), plain.pending_heads());
+    noc::InvariantChecker checker(resumed.net);
+    EXPECT_EQ(checker.check(), 0u);
+
+    plain.net.run(2'000);
+    resumed.net.run(2'000);
+    EXPECT_EQ(resumed.state(), plain.state());
   }
 }
 

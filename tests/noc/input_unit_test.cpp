@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "nbtinoc/noc/router.hpp"
+#include "nbtinoc/sim/snapshot.hpp"
+
 namespace nbtinoc::noc {
 namespace {
 
@@ -69,13 +74,109 @@ TEST(InputUnit, WaitingForVaSemantics) {
 }
 
 TEST(InputUnit, NewTrafficTowardFiltersByRoute) {
-  InputUnit iu(Dir::East, config());
+  sim::StatRegistry stats;
+  Router router(0, config(), stats);
+  InputUnit& iu = router.input(Dir::Local);
   iu.vc(0).allocate(3, 0);
   Flit f = head(3);
   f.vc = 0;
   iu.receive_flit(f, Dir::North, 5);
-  EXPECT_TRUE(iu.has_new_traffic_toward(Dir::North, 6));
-  EXPECT_FALSE(iu.has_new_traffic_toward(Dir::South, 6));
+  EXPECT_TRUE(router.has_new_traffic_toward(Dir::North, Router::kAnyVnet, 0, 6));
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::South, Router::kAnyVnet, 0, 6));
+}
+
+TEST(InputUnit, VaPendingSetFollowsTheHeadLifecycle) {
+  InputUnit iu(Dir::East, config());
+  iu.vc(2).allocate(3, 0);
+  EXPECT_FALSE(iu.va_pending(2));  // reserved, head not written yet
+  Flit f = head(3);
+  f.vc = 2;
+  f.vnet = 0;
+  iu.receive_flit(f, Dir::South, /*next_class=*/0, 9);
+  ASSERT_TRUE(iu.va_pending(2));
+  EXPECT_EQ(iu.pending_head(2).route, Dir::South);
+  EXPECT_EQ(iu.pending_head(2).arrived_at, 9u);
+  // A body flit lands behind the head and leaves the set alone.
+  Flit body = f;
+  body.type = FlitType::Body;
+  iu.receive_flit(body, Dir::North, 10);
+  EXPECT_TRUE(iu.va_pending(2));
+  EXPECT_EQ(iu.pending_head(2).route, Dir::South);
+  std::vector<int> visited;
+  iu.for_each_va_pending([&](int v, const InputUnit::PendingHead&) { visited.push_back(v); });
+  EXPECT_EQ(visited, std::vector<int>{2});
+  iu.assign_output(2, Dir::South, 1);
+  EXPECT_FALSE(iu.va_pending(2));
+}
+
+TEST(InputUnit, PurgeClearsVaPendingBit) {
+  InputUnit iu(Dir::East, config());
+  iu.vc(1).allocate(4, 0);
+  Flit f = head(4);
+  f.vc = 1;
+  iu.receive_flit(f, Dir::West, 3);
+  ASSERT_TRUE(iu.va_pending(1));
+  EXPECT_EQ(iu.purge_vc(1), 1);
+  EXPECT_FALSE(iu.va_pending(1));
+  EXPECT_FALSE(iu.waiting_for_va(1, 100));
+}
+
+TEST(InputUnit, RerouteRekeysPendingHead) {
+  InputUnit iu(Dir::East, config());
+  iu.vc(3).allocate(5, 0);
+  Flit f = head(5);
+  f.vc = 3;
+  iu.receive_flit(f, Dir::West, /*next_class=*/0, 3);
+  iu.reroute_head(3, Dir::North, /*next_class=*/1);
+  ASSERT_TRUE(iu.va_pending(3));
+  EXPECT_EQ(iu.pending_head(3).route, Dir::North);
+  EXPECT_EQ(iu.pending_head(3).next_class, 1);
+  EXPECT_EQ(iu.vc(3).route(), Dir::North);
+  EXPECT_EQ(iu.vc(3).next_class(), 1);
+  EXPECT_EQ(iu.pending_head(3).arrived_at, 3u);  // eligibility unchanged
+}
+
+TEST(InputUnit, VaPendingSetSpansMoreThanOneWord) {
+  // 2 vnets x 40 VCs: bits 64+ live in the second mask word.
+  NocConfig c = config(40);
+  c.num_vnets = 2;
+  InputUnit iu(Dir::East, c);
+  for (const int v : {5, 70}) {
+    iu.vc(v).allocate(static_cast<PacketId>(v), 0);
+    Flit f = head(static_cast<PacketId>(v));
+    f.vc = v;
+    f.vnet = c.vnet_of_vc(v);
+    iu.receive_flit(f, Dir::North, 1);
+  }
+  std::vector<int> visited;
+  iu.for_each_va_pending([&](int v, const InputUnit::PendingHead& h) {
+    visited.push_back(v);
+    EXPECT_EQ(h.vnet, c.vnet_of_vc(v));
+  });
+  EXPECT_EQ(visited, (std::vector<int>{5, 70}));
+  iu.assign_output(70, Dir::North, 0);
+  EXPECT_FALSE(iu.va_pending(70));
+  EXPECT_TRUE(iu.va_pending(5));
+}
+
+TEST(InputUnit, SnapshotLoadRebuildsVaPendingSet) {
+  InputUnit saved(Dir::East, config());
+  for (const int v : {0, 2}) {
+    saved.vc(v).allocate(static_cast<PacketId>(v + 1), 0);
+    Flit f = head(static_cast<PacketId>(v + 1));
+    f.vc = v;
+    saved.receive_flit(f, v == 0 ? Dir::North : Dir::South, 4);
+  }
+  saved.assign_output(0, Dir::North, 1);  // granted: not pending
+  sim::SnapshotWriter w;
+  saved.save(w);
+  InputUnit loaded(Dir::East, config());
+  sim::SnapshotReader r(w.data());
+  loaded.load(r);
+  for (int v = 0; v < 4; ++v) EXPECT_EQ(loaded.va_pending(v), saved.va_pending(v)) << v;
+  EXPECT_TRUE(loaded.va_pending(2));
+  EXPECT_EQ(loaded.pending_head(2).route, Dir::South);
+  EXPECT_EQ(loaded.pending_head(2).arrived_at, 4u);
 }
 
 TEST(InputUnit, AssignAndClearOutput) {

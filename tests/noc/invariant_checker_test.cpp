@@ -140,13 +140,42 @@ TEST(InvariantChecker, DetectsDeadlock) {
   head.packet = 999;
   head.vc = 0;
   head.dst = 3;  // far corner: XY-routes East first
-  iu.vc(0).push(head);
-  iu.vc(0).set_route(Dir::East);
+  iu.receive_flit(head, Dir::East, net.clock().now());
   step_checked(net, checker, 200);
   bool deadlock_reported = false;
   for (const auto& v : checker.violations())
     if (v.what.find("deadlock") != std::string::npos) deadlock_reported = true;
   EXPECT_TRUE(deadlock_reported);
+}
+
+TEST(InvariantChecker, CatchesStaleVaPendingSet) {
+  Network net(mesh(2, 2));
+  auto& iu = net.router(0).input(Dir::Local);
+  Flit head;
+  head.type = FlitType::Head;
+  head.packet = 77;
+  head.dst = 1;
+  // A head written behind the input unit's back: the buffers say "pending",
+  // the set never heard of it.
+  head.vc = 0;
+  iu.vc(0).allocate(77, 0);
+  iu.vc(0).push(head);
+  // A head whose route changed behind the set: the cached key is stale.
+  head.packet = 78;
+  head.vc = 1;
+  iu.vc(1).allocate(78, 0);
+  iu.receive_flit(head, Dir::East, 0);
+  iu.vc(1).set_route(Dir::South);
+  InvariantChecker checker(net);
+  checker.check();
+  bool bit_reported = false;
+  bool key_reported = false;
+  for (const auto& v : checker.violations()) {
+    if (v.what.find("VA-pending bit of r0:L vc0") != std::string::npos) bit_reported = true;
+    if (v.what.find("VA-pending key of r0:L vc1") != std::string::npos) key_reported = true;
+  }
+  EXPECT_TRUE(bit_reported);
+  EXPECT_TRUE(key_reported);
 }
 
 TEST(InvariantChecker, GatedBuffersStayEmptyUnderGating) {

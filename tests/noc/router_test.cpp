@@ -102,15 +102,89 @@ TEST(Router, FlitFlowsThroughBothRouters) {
 
 TEST(Router, NewTrafficVisibleAfterHeadArrives) {
   Rig rig;
+  const auto new_traffic = [&](Dir out, sim::Cycle now) {
+    return rig.u.has_new_traffic_toward(out, Router::kAnyVnet, 0, now);
+  };
   rig.inject_packet(1, 1, 2, 0);
-  EXPECT_FALSE(rig.u.has_new_traffic_toward(Dir::East, 0));
+  EXPECT_FALSE(new_traffic(Dir::East, 0));
   // Head arrives at u's local input at kLinkDelay; new traffic asserts the
   // cycle after buffer write, and deasserts once VA assigns the output VC.
   rig.u.accept_arrivals(NocConfig::kLinkDelay);
-  EXPECT_TRUE(rig.u.has_new_traffic_toward(Dir::East, NocConfig::kLinkDelay + 1));
-  EXPECT_FALSE(rig.u.has_new_traffic_toward(Dir::West, NocConfig::kLinkDelay + 1));
+  EXPECT_FALSE(new_traffic(Dir::East, NocConfig::kLinkDelay));
+  EXPECT_TRUE(new_traffic(Dir::East, NocConfig::kLinkDelay + 1));
+  EXPECT_FALSE(new_traffic(Dir::West, NocConfig::kLinkDelay + 1));
+  // The per-(vnet, class) form sees the same head under its own key only.
+  EXPECT_TRUE(rig.u.has_new_traffic_toward(Dir::East, 0, 0, NocConfig::kLinkDelay + 1));
   rig.u.va_stage(NocConfig::kLinkDelay + 1);
-  EXPECT_FALSE(rig.u.has_new_traffic_toward(Dir::East, NocConfig::kLinkDelay + 2));
+  EXPECT_FALSE(new_traffic(Dir::East, NocConfig::kLinkDelay + 2));
+}
+
+TEST(Router, NewTrafficRespectsExtraPipelineStages) {
+  NocConfig c = config();
+  c.extra_pipeline_stages = 2;
+  Rig rig(c);
+  rig.inject_packet(1, 1, 2, 0);
+  rig.u.accept_arrivals(NocConfig::kLinkDelay);
+  // Two extra stages: eligible three cycles after the buffer write.
+  for (sim::Cycle t = NocConfig::kLinkDelay; t <= NocConfig::kLinkDelay + 2; ++t)
+    EXPECT_FALSE(rig.u.has_new_traffic_toward(Dir::East, Router::kAnyVnet, 0, t)) << t;
+  EXPECT_TRUE(
+      rig.u.has_new_traffic_toward(Dir::East, Router::kAnyVnet, 0, NocConfig::kLinkDelay + 3));
+  // VA ignores the head until then, too.
+  rig.u.va_stage(NocConfig::kLinkDelay + 2);
+  EXPECT_TRUE(rig.u.input(Dir::Local).va_pending(0));
+  rig.u.va_stage(NocConfig::kLinkDelay + 3);
+  EXPECT_FALSE(rig.u.input(Dir::Local).va_pending(0));
+}
+
+/// Writes a routed head of `vnet` into VC `vc` of `iu` at cycle `now`.
+void write_head(InputUnit& iu, int vc, int vnet, Dir route, int next_class, sim::Cycle now) {
+  iu.vc(vc).allocate(static_cast<PacketId>(100 + vc), now);
+  Flit f;
+  f.type = FlitType::Head;
+  f.packet = static_cast<PacketId>(100 + vc);
+  f.vc = vc;
+  f.vnet = vnet;
+  iu.receive_flit(f, route, next_class, now);
+}
+
+TEST(Router, NewTrafficFiltersByVnetAndDatelineClass) {
+  // Torus, 2 vnets x 2 VCs: each vnet splits into dateline classes 0 and 1.
+  NocConfig c;
+  c.topology = TopologyKind::kTorus2D;
+  c.width = 2;
+  c.height = 2;
+  c.num_vcs = 2;
+  c.num_vnets = 2;
+  sim::StatRegistry stats;
+  Router router(0, c, stats);
+  InputUnit& iu = router.input(Dir::Local);
+  write_head(iu, /*vc=*/3, /*vnet=*/1, Dir::East, /*next_class=*/1, 10);
+  EXPECT_TRUE(router.has_new_traffic_toward(Dir::East, 1, 1, 11));
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::East, 1, 0, 11));
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::East, 0, 1, 11));
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::North, 1, 1, 11));
+  EXPECT_TRUE(router.has_new_traffic_toward(Dir::East, Router::kAnyVnet, 0, 11));
+  write_head(iu, /*vc=*/0, /*vnet=*/0, Dir::East, /*next_class=*/0, 10);
+  EXPECT_TRUE(router.has_new_traffic_toward(Dir::East, 0, 0, 11));
+  iu.assign_output(3, Dir::East, 1);  // granted: its key drops out
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::East, 1, 1, 11));
+  EXPECT_TRUE(router.has_new_traffic_toward(Dir::East, Router::kAnyVnet, 0, 11));
+}
+
+TEST(Router, NewTrafficWholePortFormUnderSharedBuffers) {
+  NocConfig c = config(2);
+  c.num_vnets = 2;
+  c.buffer_org = BufferOrg::kShared;
+  sim::StatRegistry stats;
+  Router router(0, c, stats);
+  InputUnit& iu = router.input(Dir::Local);
+  write_head(iu, /*vc=*/2, /*vnet=*/1, Dir::East, /*next_class=*/0, 4);
+  EXPECT_TRUE(router.has_new_traffic_toward(Dir::East, Router::kAnyVnet, 0, 5));
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::West, Router::kAnyVnet, 0, 5));
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::East, 0, 0, 5));
+  EXPECT_EQ(iu.purge_vc(2), 1);
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::East, Router::kAnyVnet, 0, 5));
 }
 
 TEST(Router, VaReservesDownstreamVcImmediately) {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nbtinoc/noc/network.hpp"
@@ -100,6 +102,92 @@ TEST(DatacenterSource, ActivityProfileIsPeriodicAndBounded) {
   const double nominal =
       p.users_per_node * p.user_rate * p.mean_on_cycles / (p.mean_on_cycles + p.mean_off_cycles);
   EXPECT_DOUBLE_EQ(src.mean_flit_rate(), nominal);
+}
+
+/// Dense reference for build_activity_segments: marks every ON phase into a
+/// per-cycle delta array over the horizon and walks it cycle by cycle. Makes
+/// the same RNG draws in the same order.
+ActivitySegments dense_activity_segments(const DatacenterProfile& p, util::Xoshiro256& rng) {
+  const auto phase = [&](double mean) {
+    const double a = p.pareto_alpha;
+    const double xm = mean * (a - 1.0) / a;
+    const double u = rng.next_double();
+    const double d = std::ceil(xm / std::pow(1.0 - u, 1.0 / a));
+    return static_cast<sim::Cycle>(
+        std::min(static_cast<double>(p.profile_horizon), std::max(1.0, d)));
+  };
+  const sim::Cycle horizon = p.profile_horizon;
+  std::vector<int> delta(static_cast<std::size_t>(horizon) + 1, 0);
+  const double p_on = p.mean_on_cycles / (p.mean_on_cycles + p.mean_off_cycles);
+  for (int user = 0; user < p.users_per_node; ++user) {
+    bool on = rng.next_bernoulli(p_on);
+    const sim::Cycle first = phase(on ? p.mean_on_cycles : p.mean_off_cycles);
+    sim::Cycle dur = std::max<sim::Cycle>(
+        1, static_cast<sim::Cycle>(std::ceil(static_cast<double>(first) * rng.next_double())));
+    sim::Cycle t = 0;
+    while (t < horizon) {
+      if (on) {
+        ++delta[static_cast<std::size_t>(t)];
+        --delta[static_cast<std::size_t>(std::min(horizon, t + dur))];
+      }
+      t += dur;
+      on = !on;
+      dur = phase(on ? p.mean_on_cycles : p.mean_off_cycles);
+    }
+  }
+  ActivitySegments out;
+  int active = 0;
+  for (sim::Cycle c = 0; c < horizon; ++c) {
+    active += delta[static_cast<std::size_t>(c)];
+    if (out.active.empty() || active != out.active.back()) {
+      out.start.push_back(c);
+      out.active.push_back(active);
+    }
+  }
+  return out;
+}
+
+TEST(DatacenterSource, EventBuiltSegmentsMatchDenseOracle) {
+  util::SplitMix64 pick(2024);
+  const auto uniform = [&](double lo, double hi) {
+    return lo + (hi - lo) * static_cast<double>(pick.next() % 1'000'000) / 1e6;
+  };
+  for (int i = 0; i < 240; ++i) {
+    DatacenterProfile p;
+    p.users_per_node = static_cast<int>(pick.next() % 200);
+    p.profile_horizon = 1 + pick.next() % 6000;
+    p.mean_on_cycles = uniform(1.0, 3000.0);
+    p.mean_off_cycles = uniform(1.0, 9000.0);
+    p.pareto_alpha = uniform(1.05, 3.0);
+    switch (i % 8) {
+      case 0:  // nobody: one all-OFF segment
+        p.users_per_node = 0;
+        break;
+      case 1:  // always ON: every phase clamps to the horizon
+        p.mean_on_cycles = 1e12;
+        p.mean_off_cycles = 1.0;
+        break;
+      case 2:  // one-cycle profile
+        p.profile_horizon = 1;
+        break;
+      case 3:  // very short phases: many edges share a cycle
+        p.mean_on_cycles = 1.0;
+        p.mean_off_cycles = 1.0;
+        break;
+      default:
+        break;
+    }
+    const std::uint64_t seed = pick.next();
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + p.describe() +
+                 " seed=" + std::to_string(seed));
+    util::Xoshiro256 event_rng(seed);
+    util::Xoshiro256 dense_rng(seed);
+    const ActivitySegments events = build_activity_segments(p, event_rng);
+    const ActivitySegments dense = dense_activity_segments(p, dense_rng);
+    ASSERT_EQ(events.start, dense.start);
+    ASSERT_EQ(events.active, dense.active);
+    EXPECT_EQ(event_rng.next(), dense_rng.next());  // same number of draws
+  }
 }
 
 TEST(DatacenterSource, SameSeedSameStreamDifferentSeedDiverges) {
