@@ -27,13 +27,7 @@ int main(int argc, char** argv) {
 
   for (auto policy : {core::PolicyKind::kRrNoSensor, core::PolicyKind::kSensorWise}) {
     const int ppf = s.phits_per_flit();
-    noc::NocConfig cfg;
-    cfg.width = s.mesh_width;
-    cfg.height = s.mesh_height;
-    cfg.num_vcs = s.num_vcs;
-    cfg.buffer_depth = s.buffer_depth * ppf;
-    cfg.packet_length = s.packet_length * ppf;
-    noc::Network net(cfg);
+    noc::Network net(core::noc_config_of(s));
 
     const auto model = core::calibrated_model_of(s);
     core::PolicyConfig pc;
@@ -52,7 +46,7 @@ int main(int argc, char** argv) {
     std::cout << "=== " << to_string(policy) << "  (router 0, East input; MD = VC"
               << ctrl.most_degraded(key) << ")\n"
               << probe.ascii_timeline(window);
-    for (int v = 0; v < cfg.total_vcs(); ++v) {
+    for (int v = 0; v < net.config().total_vcs(); ++v) {
       const auto sh = probe.shares(v);
       std::cout << "VC" << v << " shares: idle " << util::format_percent(sh.idle * 100.0)
                 << ", active " << util::format_percent(sh.active * 100.0) << ", recovery "

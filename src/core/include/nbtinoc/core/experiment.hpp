@@ -163,6 +163,14 @@ std::string to_json(const RunResult& result);
 /// cycles. Allocator grants count VA (router + NI) and SA (= buffer reads).
 power::NocActivity activity_of(const RunResult& result);
 
+/// The network configuration a scenario implies, in phit units (packet
+/// length, buffer depth and shared reserve scale by phits_per_flit). The
+/// one Scenario -> NocConfig mapping: run_experiment builds its network from
+/// it and fleet/lifetime studies sample silicon on it, so every topology and
+/// buffer organization sees the same ports. Throws std::invalid_argument on
+/// unknown topology/routing/org names or router_stages < 3.
+noc::NocConfig noc_config_of(const sim::Scenario& scenario);
+
 /// Builds the operating point / PV config / calibrated model a scenario
 /// implies — exposed for benches that post-process duty cycles via Eq. 1.
 nbti::OperatingPoint operating_point_of(const sim::Scenario& scenario);

@@ -11,8 +11,9 @@
 //   nbti::NbtiSensorBank     — per-buffer degradation sensors
 //   core::PolicyKind         — baseline / rr-no-sensor / sensor-wise[-no-traffic]
 //   core::run_experiment     — scenario + policy + workload -> duty cycles
+//   core::noc_config_of      — the one Scenario -> NocConfig mapping
 //   core::SweepRunner        — parallel grid sweeps over run_experiment
-//   core::LifetimeEngine     — hierarchical (measure/extrapolate) aging loop
+//   core::run_lifetime_study — multi-year measure/extrapolate aging loop
 //   core::run_fleet          — sharded Monte-Carlo fleet reliability
 //   power::AreaModel         — ORION-style overhead analysis (paper §III-D)
 
@@ -20,7 +21,6 @@
 #include "nbtinoc/core/experiment.hpp"
 #include "nbtinoc/core/fleet.hpp"
 #include "nbtinoc/core/lifetime.hpp"
-#include "nbtinoc/core/lifetime_engine.hpp"
 #include "nbtinoc/core/policy.hpp"
 #include "nbtinoc/core/sweep.hpp"
 #include "nbtinoc/nbti/aging.hpp"

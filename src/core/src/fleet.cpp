@@ -70,6 +70,21 @@ void FleetSpec::validate() const {
   for (const auto& w : workloads)
     if (w.label.empty() || w.label.find(',') != std::string::npos)
       throw std::invalid_argument("FleetSpec: workload labels must be non-empty and comma-free");
+  // Runner fields a fleet would silently override or share across points
+  // (and across workers). paper_scale stays: a paper-scale run per chip is
+  // meaningful.
+  if (!runner.initial_vths.empty())
+    throw std::invalid_argument(
+        "FleetSpec: runner.initial_vths must be empty (each chip samples its own silicon)");
+  if (runner.capture_trace != nullptr)
+    throw std::invalid_argument(
+        "FleetSpec: runner.capture_trace must be null (every point would write one trace)");
+  if (runner.snapshot_out != nullptr)
+    throw std::invalid_argument(
+        "FleetSpec: runner.snapshot_out must be null (every point would write one snapshot)");
+  if (runner.resume_from)
+    throw std::invalid_argument(
+        "FleetSpec: runner.resume_from must be empty (one snapshot cannot resume every point)");
 }
 
 std::uint64_t fleet_chip_seed(const sim::Scenario& scenario, int chip) {
@@ -83,7 +98,12 @@ std::string fleet_digest(const FleetSpec& spec) {
   const sim::Scenario& s = spec.scenario;
   std::string d = "fleet scenario=" + s.name;
   d += " mesh=" + std::to_string(s.mesh_width) + "x" + std::to_string(s.mesh_height);
+  // Emitted only off the defaults, so every mesh/partitioned digest (and
+  // with it every existing shard partial) keeps its exact byte string.
+  if (s.topology != "mesh") d += " topo=" + s.topology + "/" + std::to_string(s.concentration);
   d += " vcs=" + std::to_string(s.num_vcs) + " vnets=" + std::to_string(s.num_vnets);
+  if (s.buffer_org != "partitioned")
+    d += " org=" + s.buffer_org + "/" + std::to_string(s.shared_reserve);
   d += " rate=" + std::to_string(s.injection_rate);
   d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);
   d += " seeds=" + std::to_string(s.pv_seed()) + "/" + std::to_string(s.traffic_seed());
@@ -119,13 +139,10 @@ FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int sha
   const std::size_t chips = static_cast<std::size_t>(spec.chips);
   const std::size_t workload_count = spec.workloads.size();
 
-  // Per-chip silicon, sampled once per chip in this shard (chips repeat
-  // across policy/workload groups).
-  noc::NocConfig net_config;
-  net_config.width = spec.scenario.mesh_width;
-  net_config.height = spec.scenario.mesh_height;
-  net_config.num_vcs = spec.scenario.num_vcs;
-  net_config.num_vnets = spec.scenario.num_vnets;
+  // Each chip's silicon is sampled on the network the scenario builds, so
+  // every topology and buffer organization gets one Vth per existing port
+  // and gateable buffer.
+  const noc::NocConfig net_config = noc_config_of(spec.scenario);
   const nbti::PvConfig pv = pv_config_of(spec.scenario);
 
   SweepOptions sweep_options;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace nbtinoc::core {
 namespace {
@@ -39,6 +40,39 @@ TEST(Fleet, ValidatesSpec) {
   EXPECT_THROW(run_fleet(bad, 1), std::invalid_argument);
   EXPECT_THROW(run_fleet_shard(small_spec(), 2, 2, 1), std::invalid_argument);
   EXPECT_THROW(run_fleet_shard(small_spec(), -1, 2, 1), std::invalid_argument);
+}
+
+// Runner fields every fleet point would silently override (initial_vths)
+// or share across points and workers (the per-run outputs) are rejected,
+// naming the field. paper_scale stays legal: a paper-scale run per chip is
+// meaningful.
+TEST(Fleet, RejectsRunnerFieldsItOverridesOrShares) {
+  const auto expect_rejects = [](const FleetSpec& bad, const std::string& field) {
+    try {
+      run_fleet(bad, 1);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  FleetSpec bad = small_spec();
+  bad.runner.initial_vths[{0, noc::Dir::East}] = {0.18, 0.18};
+  expect_rejects(bad, "runner.initial_vths");
+  traffic::Trace trace;
+  bad = small_spec();
+  bad.runner.capture_trace = &trace;
+  expect_rejects(bad, "runner.capture_trace");
+  std::string snapshot;
+  bad = small_spec();
+  bad.runner.snapshot_out = &snapshot;
+  expect_rejects(bad, "runner.snapshot_out");
+  bad = small_spec();
+  bad.runner.resume_from = std::string("NBTISNAP");
+  expect_rejects(bad, "runner.resume_from");
+
+  FleetSpec paper = small_spec();
+  paper.runner.paper_scale = true;
+  EXPECT_NO_THROW(paper.validate());
 }
 
 TEST(Fleet, ChipSeedsAreDistinctAndStable) {
@@ -150,6 +184,57 @@ TEST(Fleet, GroupStatisticsAreOrderedAndBounded) {
   }
   // Sensor-wise wear leveling must not shorten fleet lifetime vs baseline.
   EXPECT_GE(report.groups()[1].median_years, report.groups()[0].median_years);
+}
+
+// Chip silicon is sampled on the scenario's own network, so fleets run on
+// every topology and buffer organization, not just the partitioned mesh.
+FleetReport tiny_fleet(sim::Scenario scenario, std::vector<PolicyKind> policies) {
+  FleetSpec spec;
+  spec.scenario = std::move(scenario);
+  spec.scenario.warmup_cycles = 200;
+  spec.scenario.measure_cycles = 1'000;
+  spec.policies = std::move(policies);
+  spec.chips = 2;
+  return run_fleet(spec, 2);
+}
+
+void expect_complete(const FleetReport& report, std::size_t groups) {
+  ASSERT_EQ(report.groups().size(), groups);
+  for (const auto& g : report.groups()) {
+    ASSERT_EQ(g.failure_years.size(), 2u);
+    for (double y : g.failure_years) EXPECT_GT(y, 0.0);
+  }
+}
+
+TEST(Fleet, DigestSeparatesTopologyAndBufferOrg) {
+  const FleetSpec mesh = small_spec();
+  FleetSpec torus = small_spec();
+  torus.scenario.topology = "torus";
+  FleetSpec shared = small_spec();
+  shared.scenario.buffer_org = "shared";
+  EXPECT_NE(fleet_digest(mesh), fleet_digest(torus));
+  EXPECT_NE(fleet_digest(mesh), fleet_digest(shared));
+  EXPECT_EQ(fleet_digest(mesh).find("topo="), std::string::npos);
+  EXPECT_EQ(fleet_digest(mesh).find("org="), std::string::npos);
+}
+
+TEST(Fleet, RunsOnTorus) {
+  sim::Scenario s = sim::Scenario::synthetic(3, 2, 0.1);
+  s.topology = "torus";
+  expect_complete(tiny_fleet(s, {PolicyKind::kBaseline, PolicyKind::kSensorWise}), 2);
+}
+
+TEST(Fleet, RunsOnCmesh) {
+  sim::Scenario s = sim::Scenario::synthetic(4, 2, 0.1);
+  s.topology = "cmesh";
+  s.concentration = 2;
+  expect_complete(tiny_fleet(s, {PolicyKind::kBaseline, PolicyKind::kSensorWise}), 2);
+}
+
+TEST(Fleet, RunsOnSharedBuffers) {
+  sim::Scenario s = sim::Scenario::synthetic(2, 2, 0.1);
+  s.buffer_org = "shared";
+  expect_complete(tiny_fleet(s, {PolicyKind::kBaseline, PolicyKind::kSensorWiseSlotMd}), 2);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace nbtinoc::core {
 namespace {
 
@@ -36,6 +38,37 @@ TEST(LifetimeStudy, RejectsBadOptions) {
   EXPECT_THROW(run_lifetime_study(scenario(), PolicyKind::kSensorWise, Workload::synthetic(),
                                   {0, noc::Dir::West}, quick_options()),
                std::invalid_argument);
+}
+
+// Runner fields the study owns (silicon, cycle counts) or would share
+// across epochs (per-run outputs) are rejected, naming the field.
+TEST(LifetimeStudy, RejectsRunnerFieldsItOverridesOrShares) {
+  const auto expect_rejects = [](const LifetimeOptions& bad, const std::string& field) {
+    try {
+      run_lifetime_study(scenario(), PolicyKind::kSensorWise, Workload::synthetic(),
+                         {0, noc::Dir::East}, bad);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  LifetimeOptions bad = quick_options();
+  bad.runner.initial_vths[{0, noc::Dir::East}] = {0.18, 0.18};
+  expect_rejects(bad, "runner.initial_vths");
+  bad = quick_options();
+  bad.runner.paper_scale = true;
+  expect_rejects(bad, "runner.paper_scale");
+  traffic::Trace trace;
+  bad = quick_options();
+  bad.runner.capture_trace = &trace;
+  expect_rejects(bad, "runner.capture_trace");
+  std::string snapshot;
+  bad = quick_options();
+  bad.runner.snapshot_out = &snapshot;
+  expect_rejects(bad, "runner.snapshot_out");
+  bad = quick_options();
+  bad.runner.resume_from = std::string("NBTISNAP");
+  expect_rejects(bad, "runner.resume_from");
 }
 
 TEST(LifetimeStudy, RecordsEveryEpochWithMonotoneTime) {
@@ -99,6 +132,67 @@ TEST(LifetimeStudy, SensorWiseEquizalizesWearOverTime) {
   EXPECT_NEAR(last[0] - last[1], first[0] - first[1], 1e-4);
   // The policy's wear-aware allocation keeps the final spread bounded.
   EXPECT_LT(sw.final_spread_v, 0.030);
+}
+
+// Fresh silicon is sampled on the scenario's own network, so the study runs
+// on every topology and buffer organization, not just the partitioned mesh.
+LifetimeOptions two_epochs() {
+  LifetimeOptions opt = quick_options(2);
+  opt.measure_cycles_per_epoch = 2'000;
+  return opt;
+}
+
+void expect_covers_every_port(const LifetimeResult& r, const sim::Scenario& s) {
+  const auto expected = sample_network_vths(noc_config_of(s), pv_config_of(s), s.pv_seed());
+  ASSERT_EQ(r.final_vths.size(), expected.size());
+  for (const auto& [key, bank] : expected) EXPECT_EQ(r.final_vths.at(key).size(), bank.size());
+}
+
+TEST(LifetimeStudy, RunsOnTorus) {
+  sim::Scenario s = sim::Scenario::synthetic(3, 2, 0.1);
+  s.topology = "torus";
+  const auto r = run_lifetime_study(s, PolicyKind::kSensorWise, Workload::synthetic(),
+                                    {0, noc::Dir::East}, two_epochs());
+  ASSERT_EQ(r.epochs.size(), 2u);
+  EXPECT_EQ(r.measured_epochs, 2);
+  // The wrap link feeds router 0's West input: its buffers aged too.
+  const noc::PortKey wrap{0, noc::Dir::West};
+  ASSERT_TRUE(r.final_vths.count(wrap));
+  expect_covers_every_port(r, s);
+}
+
+TEST(LifetimeStudy, RunsOnCmesh) {
+  sim::Scenario s = sim::Scenario::synthetic(4, 2, 0.1);
+  s.topology = "cmesh";
+  s.concentration = 2;
+  const auto r = run_lifetime_study(s, PolicyKind::kSensorWise, Workload::synthetic(),
+                                    {0, noc::Dir::East}, two_epochs());
+  ASSERT_EQ(r.epochs.size(), 2u);
+  expect_covers_every_port(r, s);
+  // Each router carries one local port per concentrated tile.
+  ASSERT_TRUE(r.final_vths.count({0, static_cast<noc::Dir>(noc::kFirstLocalPort + 1)}));
+  // 4x4 tiles at concentration 2 form a 2x4 router mesh: router 8 is absent.
+  try {
+    run_lifetime_study(s, PolicyKind::kSensorWise, Workload::synthetic(), {8, noc::Dir::West},
+                       two_epochs());
+    ADD_FAILURE() << "nonexistent cmesh port accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sampled port does not exist"), std::string::npos);
+  }
+}
+
+TEST(LifetimeStudy, SharedBuffersAgeEveryPoolSlot) {
+  sim::Scenario s = sim::Scenario::synthetic(2, 2, 0.1);
+  s.buffer_org = "shared";
+  const auto r = run_lifetime_study(s, PolicyKind::kSensorWiseSlotMd, Workload::synthetic(),
+                                    {0, noc::Dir::East}, two_epochs());
+  const auto slots = static_cast<std::size_t>(noc_config_of(s).pool_slots());
+  ASSERT_EQ(r.epochs.size(), 2u);
+  for (const auto& e : r.epochs) {
+    EXPECT_EQ(e.vth_v.size(), slots);
+    EXPECT_EQ(e.duty_percent.size(), slots);
+  }
+  expect_covers_every_port(r, s);
 }
 
 }  // namespace
