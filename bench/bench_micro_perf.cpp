@@ -64,6 +64,46 @@ void BM_SensorWiseDecide(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorWiseDecide)->Arg(2)->Arg(4)->Arg(8);
 
+// The sensor-wise pre-VA decision as the gating stage makes it, through
+// PolicyGateController::decide (port lookup, sensor MD, decision memo):
+// one iteration is every input port's decision of one cycle of a loaded
+// 4x4 mesh, frozen mid-run, each with the traffic bit its upstream saw.
+// BM_SensorWiseDecide times the bare policy function instead.
+void BM_PolicyGateDecide(benchmark::State& state) {
+  noc::Network net(mesh_config(4, 4));
+  const auto model = nbti::NbtiModel::calibrated({}, {});
+  core::PolicyConfig pc;
+  pc.kind = core::PolicyKind::kSensorWise;
+  core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
+  ctrl.attach();
+  traffic::install_uniform_traffic(net, 0.4, 42);
+  net.run(5000);
+  const sim::Cycle now = net.clock().now();
+  struct Decision {
+    noc::PortKey key;
+    noc::OutVcStateView view;
+    bool traffic;
+  };
+  std::vector<Decision> decisions;
+  for (noc::NodeId id = 0; id < net.num_routers(); ++id)
+    for (int p = 0; p < net.config().ports_per_router(); ++p) {
+      const auto port = static_cast<noc::Dir>(p);
+      if (!net.router(id).has_input(port)) continue;
+      const bool traffic =
+          noc::is_local(port)
+              ? net.ni(id).has_new_traffic(now)
+              : net.router(net.topology().neighbor(id, port))
+                    .has_new_traffic_toward(noc::opposite(port), 0, 0, now);
+      decisions.push_back({noc::PortKey{id, port}, noc::OutVcStateView(&net.router(id).input(port)),
+                           traffic});
+    }
+  for (auto _ : state)
+    for (const Decision& d : decisions)
+      benchmark::DoNotOptimize(ctrl.decide(d.key, d.view, d.traffic, now));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(decisions.size()));
+}
+BENCHMARK(BM_PolicyGateDecide);
+
 void BM_RrNoSensorDecide(benchmark::State& state) {
   noc::NocConfig cfg = mesh_config(2, 4);
   noc::InputUnit iu(noc::Dir::East, cfg);

@@ -124,7 +124,8 @@ class PolicyGateController final : public noc::IGateController {
   /// (noise RNG included), last-delivered effective readings, health-ladder
   /// counters, the hysteresis cache and the post-cycle fence. Initial Vth
   /// vectors and stat handles are reconstructed by the constructor, so the
-  /// loading controller must be built from the same scenario.
+  /// loading controller must be built from the same scenario. The
+  /// sensor-wise decision memo is a cache, not state: load() clears it.
   void save(sim::SnapshotWriter& w) const;
   void load(sim::SnapshotReader& r);
 
@@ -138,6 +139,22 @@ class PolicyGateController final : public noc::IGateController {
   int local_most_degraded(const noc::PortKey& key, const noc::OutVcStateView& view) const;
 
  private:
+  /// Memo of one (port, vnet/class range)'s sensor-wise decision. The
+  /// policy is a pure function of (active-VC mask, most-degraded VC,
+  /// traffic bit), so this is a cache of it, not a held decision: the
+  /// command is reused while the mask and traffic bit repeat, and the MD
+  /// is re-read only when the port's sensor bank has refreshed since.
+  struct DecideMemo {
+    bool md_valid = false;
+    sim::Cycle md_stamp = 0;  ///< sensors.next_refresh_cycle() when md was read
+    int num_vcs = 0;          ///< range width md was read for
+    int md = 0;               ///< range-local most-degraded VC
+    bool command_valid = false;
+    std::uint64_t active = 0;  ///< active-VC mask the command was computed for
+    bool traffic = false;      ///< traffic bit the command was computed for
+    noc::GateCommand command;
+  };
+
   struct PortContext {
     std::vector<double> initial_vths;
     nbti::NbtiSensorBank sensors;
@@ -154,6 +171,11 @@ class PolicyGateController final : public noc::IGateController {
   /// O(1) lookup through port_index_; throws std::out_of_range (like
   /// map::at) for a port the controller does not cover.
   const PortContext& context(const noc::PortKey& key) const;
+  /// True if the installed fault plan reaches this port's sensor readings.
+  bool faulted(const noc::PortKey& key) const;
+  /// The sensor-wise family's decide() through the range's DecideMemo.
+  noc::GateCommand memo_decide(const noc::PortKey& key, const noc::OutVcStateView& view,
+                               bool traffic);
 
   noc::GateCommand compute(const noc::PortKey& key, const noc::OutVcStateView& view,
                            bool new_traffic, sim::Cycle now);
@@ -193,6 +215,13 @@ class PolicyGateController final : public noc::IGateController {
   /// Scratch for the sensor-rank degradation vector (sized once; the
   /// per-decision fill must not allocate).
   std::vector<double> degradation_scratch_;
+
+  /// Decision memos, one per (port, view range), flat at
+  /// (router * ports_per_router + port) * memo_vcs_ + first VC of the range.
+  /// Sized only for the memoized kinds (per-cycle sensor-wise family on
+  /// partitioned buffers); empty otherwise.
+  std::vector<DecideMemo> memo_;
+  int memo_vcs_ = 0;
 
   /// Hysteresis cache, keyed by (port, vnet subrange start).
   struct HeldDecision {

@@ -97,6 +97,13 @@ PolicyGateController::PolicyGateController(noc::Network& network, PolicyConfig c
     if (key.router >= 0 && key.router < network.num_routers() && p >= 0 && p < ports_per_router_)
       port_index_[static_cast<std::size_t>(key.router * ports_per_router_ + p)] = &ctx;
   }
+  const bool memoized = !shared_ && config_.decision_period <= 1 &&
+                        (config_.kind == PolicyKind::kSensorWise ||
+                         config_.kind == PolicyKind::kSensorWiseNoTraffic);
+  if (memoized) {
+    memo_vcs_ = cfg.total_vcs();
+    memo_.resize(port_index_.size() * static_cast<std::size_t>(memo_vcs_));
+  }
 }
 
 const PolicyGateController::PortContext& PolicyGateController::context(
@@ -130,13 +137,54 @@ int PolicyGateController::local_most_degraded(const noc::PortKey& key,
   return static_cast<int>(global) - view.first_vc();
 }
 
+bool PolicyGateController::faulted(const noc::PortKey& key) const {
+  return injector_ != nullptr && injector_->enabled() &&
+         injector_->plan().targets_port(static_cast<int>(key.router), static_cast<int>(key.port));
+}
+
+noc::GateCommand PolicyGateController::memo_decide(const noc::PortKey& key,
+                                                   const noc::OutVcStateView& view,
+                                                   bool traffic) {
+  const PortContext& ctx = context(key);  // also validates the key
+  DecideMemo& memo = memo_[static_cast<std::size_t>(
+      (key.router * ports_per_router_ + static_cast<int>(key.port)) * memo_vcs_ + view.first_vc())];
+  const int num_vcs = view.num_vcs();
+  const sim::Cycle stamp = ctx.sensors.next_refresh_cycle();
+  if (!memo.md_valid || memo.md_stamp != stamp || memo.num_vcs != num_vcs) {
+    memo.md = local_most_degraded(key, view);
+    memo.md_stamp = stamp;
+    memo.num_vcs = num_vcs;
+    memo.md_valid = true;
+    memo.command_valid = false;
+  }
+  std::uint64_t active = 0;
+  for (int vc = 0; vc < num_vcs && vc < 64; ++vc)
+    if (view.is_active(vc)) active |= std::uint64_t{1} << vc;
+  if (!memo.command_valid || memo.active != active || memo.traffic != traffic) {
+    memo.command = sensor_wise_decide(view, memo.md, traffic);
+    memo.active = active;
+    memo.traffic = traffic;
+    memo.command_valid = true;
+  }
+  return memo.command;
+}
+
 noc::GateCommand PolicyGateController::decide(const noc::PortKey& key,
                                               const noc::OutVcStateView& view, bool new_traffic,
                                               sim::Cycle now) {
   // Shared organization: decisions are slot-form and already rate-limited
   // to one gate + one wake per port per cycle, and the VC-indexed hysteresis
   // cache below cannot interpret slot ids — compute fresh every call.
-  if (config_.decision_period <= 1 || shared_) return compute(key, view, new_traffic, now);
+  if (config_.decision_period <= 1 || shared_) {
+    // The per-cycle sensor-wise family on fault-free readings is memoized
+    // (see DecideMemo); faulted ports act on effective readings and the
+    // quarantine ladder, so they keep computing, as does a view range
+    // outside the port (compute() reports it).
+    if (!memo_.empty() && view.first_vc() >= 0 && view.first_vc() < memo_vcs_ && !faulted(key))
+      return memo_decide(key, view,
+                         config_.kind == PolicyKind::kSensorWiseNoTraffic || new_traffic);
+    return compute(key, view, new_traffic, now);
+  }
   // Hysteresis: hold the previous decision for decision_period cycles.
   // Exceptions (asynchronous overrides, both computable from signals the
   // upstream router already has): new traffic while the held command keeps
@@ -177,14 +225,11 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
   // Targeted plans (FaultPlan::targets) confine the storm: an untargeted
   // port never sees corrupted readings or quarantine and must take the
   // fault-free paths below — its effective_vths are never refreshed.
-  const bool faulted = injector_ != nullptr && injector_->enabled() &&
-                       injector_->plan().targets_port(static_cast<int>(key.router),
-                                                     static_cast<int>(key.port));
   const bool sensor_policy = config_.kind == PolicyKind::kSensorWiseNoTraffic ||
                              config_.kind == PolicyKind::kSensorWise ||
                              config_.kind == PolicyKind::kSensorRank ||
                              config_.kind == PolicyKind::kSensorWiseSlotMd;
-  if (faulted && sensor_policy) {
+  if (sensor_policy && faulted(key)) {
     const PortContext& ctx = context(key);
     if (ctx.quarantined) {
       if (config_.kind == PolicyKind::kSensorWiseSlotMd) {
@@ -400,6 +445,7 @@ void PolicyGateController::load(sim::SnapshotReader& r) {
     ctx.implausible_streak = static_cast<int>(r.i64());
     ctx.healthy_streak = static_cast<int>(r.i64());
   }
+  memo_.assign(memo_.size(), DecideMemo{});
   held_.clear();
   const std::uint64_t held_count = r.u64();
   for (std::uint64_t i = 0; i < held_count; ++i) {

@@ -104,6 +104,19 @@ std::string fleet_digest(const FleetSpec& spec) {
   d += " vcs=" + std::to_string(s.num_vcs) + " vnets=" + std::to_string(s.num_vnets);
   if (s.buffer_org != "partitioned")
     d += " org=" + s.buffer_org + "/" + std::to_string(s.shared_reserve);
+  // Buffer, packet and pipeline shape: likewise named only off the
+  // defaults, so a merge cannot mix fleets that differ only there.
+  const sim::Scenario defaults;
+  if (s.buffer_depth != defaults.buffer_depth) d += " depth=" + std::to_string(s.buffer_depth);
+  if (s.packet_length != defaults.packet_length) d += " plen=" + std::to_string(s.packet_length);
+  if (s.flit_width_bits != defaults.flit_width_bits)
+    d += " flit_bits=" + std::to_string(s.flit_width_bits);
+  if (s.link_width_bits != defaults.link_width_bits)
+    d += " link_bits=" + std::to_string(s.link_width_bits);
+  if (s.routing != defaults.routing) d += " routing=" + s.routing;
+  if (s.router_stages != defaults.router_stages) d += " stages=" + std::to_string(s.router_stages);
+  if (s.wakeup_latency != defaults.wakeup_latency)
+    d += " wake=" + std::to_string(s.wakeup_latency);
   d += " rate=" + std::to_string(s.injection_rate);
   d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);
   d += " seeds=" + std::to_string(s.pv_seed()) + "/" + std::to_string(s.traffic_seed());

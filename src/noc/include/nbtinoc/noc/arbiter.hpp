@@ -1,6 +1,7 @@
 #pragma once
 // Round-robin arbitration primitive used by the VA and SA stages.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -8,8 +9,9 @@
 namespace nbtinoc::noc {
 
 /// Fixed-capacity request bitset: the scratch request vector of one
-/// arbitration. Word storage is allocated once at resize() (wiring time);
-/// clear()/set()/test() never touch the allocator, which is what keeps the
+/// arbitration, or a kept candidate set (an input unit's SA-ready VCs).
+/// Word storage is allocated once at resize() (wiring time); clear()/set()/
+/// reset()/test() never touch the allocator, which is what keeps the
 /// per-cycle VA/SA hot path allocation-free.
 class RequestSet {
  public:
@@ -29,6 +31,7 @@ class RequestSet {
     for (auto& w : words_) w = 0;
   }
   void set(std::size_t i) { words_[i >> 6] |= std::uint64_t{1} << (i & 63); }
+  void reset(std::size_t i) { words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }
   bool test(std::size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & std::uint64_t{1};
   }
@@ -36,6 +39,22 @@ class RequestSet {
     for (const auto w : words_)
       if (w != 0) return true;
     return false;
+  }
+  /// Lowest set index in [lo, hi), or -1: a word scan, not a bit loop.
+  int find_first(std::size_t lo, std::size_t hi) const {
+    for (std::size_t w = lo >> 6; lo < hi; ++w, lo = w << 6) {
+      std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (lo & 63));
+      if (hi < (w + 1) << 6) bits &= ~(~std::uint64_t{0} << (hi & 63));
+      if (bits != 0) return static_cast<int>(w << 6) + std::countr_zero(bits);
+    }
+    return -1;
+  }
+  /// Calls f(i) for every set index, ascending.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        f(static_cast<int>(w * 64) + std::countr_zero(bits));
   }
 
  private:

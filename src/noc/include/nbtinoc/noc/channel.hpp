@@ -1,16 +1,16 @@
 #pragma once
-// Fixed-latency pipelined channel. Models flit links, credit return wires
-// and the paper's Up_Down / Down_Up control links: payloads pushed at cycle
-// t with delay d become visible exactly at cycle t+d, in push order.
+// Fixed-latency pipelined channel. Models flit links and credit return
+// wires: payloads pushed at cycle t with delay d become visible exactly at
+// cycle t+d, in push order.
 //
 // A channel may carry an optional *fault hook*, fired once per payload at
 // the moment of consumption (pop_ready): the hook may mutate the payload
 // in flight (a bit flip on the wire) or veto delivery entirely (a dropped
-// command). Hooks are how the fault-injection subsystem corrupts the
-// control links; no hook installed (the default) is the zero-overhead
-// exact-delivery path. peek_ready never fires the hook — fault decisions
-// draw from a deterministic RNG stream and must happen exactly once per
-// payload.
+// payload). The zero-delay Up_Down control links apply the same hook type
+// at their direct delivery point (Network::UpDownLink::deliver). No hook
+// installed (the default) is the zero-overhead exact-delivery path.
+// peek_ready never fires the hook — fault decisions draw from a
+// deterministic RNG stream and must happen exactly once per payload.
 
 #include <cstdint>
 #include <functional>

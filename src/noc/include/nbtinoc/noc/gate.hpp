@@ -80,12 +80,12 @@ class OutVcStateView {
   OutVcStateView(const InputUnit* iu, int first_vc, int count)
       : iu_(iu), first_vc_(first_vc), count_(count) {}
 
-  int num_vcs() const;
+  inline int num_vcs() const;
   int first_vc() const { return first_vc_; }
   /// Maps a local index to the port-global VC id.
   int global_vc(int local) const { return first_vc_ + local; }
 
-  VcState state(int local) const;
+  inline VcState state(int local) const;
   bool is_idle(int local) const { return state(local) == VcState::Idle; }
   bool is_recovery(int local) const { return state(local) == VcState::Recovery; }
   bool is_active(int local) const { return state(local) == VcState::Active; }
@@ -137,3 +137,7 @@ class AlwaysOnController final : public IGateController {
 };
 
 }  // namespace nbtinoc::noc
+
+// OutVcStateView's accessors run on every pre-VA decision, so they are
+// inline; their definitions need the complete InputUnit.
+#include "nbtinoc/noc/input_unit.hpp"

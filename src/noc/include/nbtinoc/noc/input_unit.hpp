@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "nbtinoc/noc/arbiter.hpp"
@@ -43,7 +44,8 @@ class InputUnit {
         busy_vcs_(other.busy_vcs_),
         gated_vcs_(other.gated_vcs_),
         va_pending_(std::move(other.va_pending_)),
-        pending_heads_(std::move(other.pending_heads_)) {
+        pending_heads_(std::move(other.pending_heads_)),
+        sa_ready_(std::move(other.sa_ready_)) {
     // The pool lives on the heap, so descriptor/tracker pointers into it
     // survive the move untouched; only pointers into *this* need rebinding.
     for (std::size_t i = 0; i < vcs_.size(); ++i) {
@@ -97,7 +99,8 @@ class InputUnit {
   //     currently resident in vc i ------------------------------------------
   int out_vc(int i) const { return out_vc_.at(static_cast<std::size_t>(i)); }
   Dir out_port(int i) const { return out_port_.at(static_cast<std::size_t>(i)); }
-  /// Records VA's grant for vc i (its head leaves the VA-pending set).
+  /// Records VA's grant for vc i (its head leaves the VA-pending set and,
+  /// being buffered, joins the SA-ready set).
   void assign_output(int i, Dir port, int downstream_vc);
   void clear_output(int i);
   bool has_output(int i) const { return out_vc(i) != kInvalidVc; }
@@ -110,6 +113,32 @@ class InputUnit {
     refresh_va_pending(i);
     return dropped;
   }
+
+  // --- SA-ready set -----------------------------------------------------------
+  // The VCs that hold a flit and have an output VC — SA's request
+  // candidates. Kept incrementally at buffer write, VA grant, the SA pop,
+  // clear_output, purge and snapshot load, so SA visits only set bits.
+  // Eligibility (pipeline age of the front flit) and downstream credit are
+  // time-dependent and stay per-cycle checks of the visitor.
+
+  bool sa_ready(int i) const { return sa_ready_.test(static_cast<std::size_t>(i)); }
+  bool any_sa_ready() const { return sa_ready_.any(); }
+  /// This port's SA nominee: the first SA-ready VC, in the round-robin
+  /// order of sa_arbiter() (pointer first, wrapping), for which
+  /// `accept(vc)` holds; -1 if none. Visits exactly the candidates
+  /// RoundRobinArbiter::peek would, over the mask of accepted VCs.
+  template <typename Accept>
+  int nominate_sa(Accept&& accept) const {
+    const std::size_t start = sa_arbiter_.pointer();
+    for (const auto& [lo, hi] : {std::pair{start, vcs_.size()}, std::pair{std::size_t{0}, start}})
+      for (int v = sa_ready_.find_first(lo, hi); v >= 0;
+           v = sa_ready_.find_first(static_cast<std::size_t>(v) + 1, hi))
+        if (accept(v)) return v;
+    return -1;
+  }
+  /// The SA pop: dequeues vc i's front flit (switch traversal), releasing
+  /// the downstream allocation when it is the tail.
+  Flit pop_flit(int i);
 
   // --- VA-pending set ---------------------------------------------------------
   // The VCs holding a routed head flit with no output VC yet — the "new
@@ -155,7 +184,9 @@ class InputUnit {
 
   // --- datapath --------------------------------------------------------------
   /// Buffer write (+ RC on head flits). `route` / `next_class` are the
-  /// precomputed RC results for head flits, ignored otherwise.
+  /// precomputed RC results for head flits, ignored otherwise. Every
+  /// inbound flit must arrive here so the VA-pending and SA-ready sets see
+  /// it.
   void receive_flit(const Flit& flit, Dir route, int next_class, sim::Cycle now);
   /// Single-class convenience (mesh-era call sites and unit tests).
   void receive_flit(const Flit& flit, Dir route, sim::Cycle now) {
@@ -211,7 +242,10 @@ class InputUnit {
     trackers_.load(r);
     sa_arbiter_.set_pointer(static_cast<std::size_t>(r.u64()));
     if (pool_ != nullptr) pool_->load(r);
-    for (int i = 0; i < num_vcs(); ++i) refresh_va_pending(i);
+    for (int i = 0; i < num_vcs(); ++i) {
+      refresh_va_pending(i);
+      refresh_sa_ready(i);
+    }
   }
 
  private:
@@ -219,6 +253,13 @@ class InputUnit {
                                sim::FaultInjector* faults);
   /// Recomputes vc i's VA-pending bit and key from the buffer itself.
   void refresh_va_pending(int i);
+  /// Recomputes vc i's SA-ready bit: an output VC and a buffered flit.
+  void refresh_sa_ready(int i) {
+    if (has_output(i) && !vc(i).empty())
+      sa_ready_.set(static_cast<std::size_t>(i));
+    else
+      sa_ready_.reset(static_cast<std::size_t>(i));
+  }
 
   Dir dir_;
   int extra_stages_;
@@ -232,6 +273,13 @@ class InputUnit {
   int gated_vcs_ = 0;
   std::vector<std::uint64_t> va_pending_;  ///< bit i: vc i is VA-pending
   std::vector<PendingHead> pending_heads_;  ///< per-VC key, valid where set
+  RequestSet sa_ready_;                     ///< bit i: vc i is SA-ready
 };
+
+// OutVcStateView's inline accessors, declared in gate.hpp.
+inline int OutVcStateView::num_vcs() const { return count_ >= 0 ? count_ : iu_->num_vcs(); }
+inline VcState OutVcStateView::state(int local) const {
+  return iu_->vc(first_vc_ + local).state();
+}
 
 }  // namespace nbtinoc::noc

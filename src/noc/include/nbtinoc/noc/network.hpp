@@ -76,8 +76,8 @@ class Network {
   IGateController& gate_controller() { return *controller_; }
 
   /// Installs the fault injector (non-owning; nullptr to remove). Control
-  /// faults make gate commands traverse their Up_Down channels under a
-  /// fault hook (drop / in-range corruption) and wake handshakes may fail —
+  /// faults make gate commands cross their Up_Down links under a fault
+  /// hook (drop / in-range corruption) and wake handshakes may fail —
   /// the flit/credit datapath is never touched by them. Structural faults
   /// (plan().structural) are permanent data-plane kills: the schedule is
   /// validated and sorted here, and each kill is applied at the start of
@@ -85,10 +85,10 @@ class Network {
   void set_fault_injector(sim::FaultInjector* injector);
   sim::FaultInjector* fault_injector() { return injector_; }
 
-  /// The Up_Down command link feeding one router input port (always exists
-  /// for existing ports; commands cross it with zero delay, the paper's
-  /// zero-skew control wiring). Exposed for tests probing drop counts.
-  const Channel<GateCommand>& up_down_link(NodeId router, Dir port) const;
+  /// Gate commands the fault hook has dropped on the Up_Down link feeding
+  /// one router input port (throws std::invalid_argument for a port that
+  /// does not exist).
+  std::uint64_t up_down_dropped(NodeId router, Dir port) const;
 
   /// Installs the traffic source for one node (owning).
   void set_traffic_source(NodeId node, std::unique_ptr<ITrafficSource> source);
@@ -268,7 +268,6 @@ class Network {
   /// depth - in-flight flits - in-flight credits - downstream occupancy.
   void restore_credits();
 
-  Channel<GateCommand>& up_down_link_mutable(NodeId router, Dir port);
   /// Last applied gating mode (gating_active) per (router, port, vnet,
   /// dateline class) — written by gating_stage, read by the park condition
   /// (router_gating_fixed_point) to pick which fixed point (all-gated vs
@@ -301,9 +300,29 @@ class Network {
   };
   std::vector<ChannelSink> flit_sinks_;
   std::vector<ChannelSink> credit_sinks_;
-  /// Up_Down command links, indexed router * ports_per_router + port (null
-  /// where the input port does not exist).
-  std::vector<std::unique_ptr<Channel<GateCommand>>> up_down_links_;
+  /// Up_Down command link of one input port. Commands cross it with zero
+  /// delay (the paper's zero-skew control wiring): the gating stage hands
+  /// each command straight to the port, through the fault hook when one
+  /// is installed (it may corrupt the command in flight or drop it).
+  struct UpDownLink {
+    bool exists = false;
+    Channel<GateCommand>::FaultHook fault;  ///< empty: exact delivery
+    std::uint64_t dropped = 0;             ///< commands the hook vetoed
+
+    /// Hands `cmd` to the port's input unit; the fault hook, if any, may
+    /// corrupt it in flight or drop it (the port then holds its state).
+    void deliver(GateCommand cmd, InputUnit& port, sim::Cycle now,
+                 sim::FaultInjector* port_injector) {
+      if (fault && !fault(cmd, now)) {
+        ++dropped;
+        return;
+      }
+      port.apply_gate_command(cmd, now, port_injector);
+    }
+  };
+  /// Indexed router * ports_per_router + port (exists == false where the
+  /// input port does not exist).
+  std::vector<UpDownLink> up_down_links_;
   std::vector<std::unique_ptr<ITrafficSource>> sources_;
 
   AlwaysOnController baseline_controller_;

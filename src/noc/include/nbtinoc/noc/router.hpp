@@ -156,8 +156,7 @@ class Router {
   /// ("noc.router<id>.flits_out"), used for per-tile power attribution.
   const std::string& flits_out_stat_key() const { return flits_out_key_; }
 
-  /// True when any input port holds an Active VC — the O(ports) gate in
-  /// front of the SA scan (see sa_st_stage), and the active-set
+  /// True when any input port holds an Active VC — the active-set
   /// scheduler's "this router still has datapath work" signal.
   bool any_busy_input() const;
 
@@ -214,8 +213,8 @@ class Router {
   // reallocated, inside the stages).
   RequestSet va_requests_;     ///< flattened (input port, VC) VA requests
   RequestSet vnet_has_free_;   ///< per-(vnet, class) free-downstream-VC flags
-  RequestSet sa_ready_;        ///< per-VC SA readiness of one input port
-  RequestSet sa_port_requests_;  ///< per-input-port SA requests
+  RequestSet sa_requested_outs_;  ///< outputs some nominee targets (phase 1)
+  RequestSet sa_port_requests_;   ///< input ports nominating one output (phase 2)
   std::vector<int> sa_candidate_;  ///< per-input-port nominated VC (phase 1)
 };
 

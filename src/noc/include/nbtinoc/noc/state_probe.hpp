@@ -70,10 +70,12 @@ class PortStateProbe {
 ///   5. every input unit's VA-pending set (and each pending head's cached
 ///      route, vnet, next class and arrival) equals a from-scratch scan of
 ///      its buffers: Active, non-empty, no output VC, head at the front.
-///      Eligibility is time-dependent and not part of the set.
+///      Eligibility is time-dependent and not part of the set;
+///   6. every input unit's SA-ready set equals the same kind of scan:
+///      output VC held and a flit buffered.
 ///
 /// Under the active-set scheduler (Network::scheduler_mode() ==
-/// SchedulerMode::kActiveSet) a sixth audit runs: every *parked* component
+/// SchedulerMode::kActiveSet) a seventh audit runs: every *parked* component
 /// (absent from the next cycle's active set) must be provably idle — no
 /// busy input VC, gating at its fixed point, and no inbound link payload
 /// deliverable soon enough that skipping the component could change
@@ -122,6 +124,7 @@ class InvariantChecker {
   void check_flit_conservation(sim::Cycle cycle);
   void check_deadlock(sim::Cycle cycle);
   void check_va_pending(sim::Cycle cycle);
+  void check_sa_ready(sim::Cycle cycle);
   void check_active_set(sim::Cycle cycle);
 
   const Network* network_;

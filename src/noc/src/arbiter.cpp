@@ -15,11 +15,10 @@ int RoundRobinArbiter::peek(const std::vector<bool>& requests) const {
 int RoundRobinArbiter::peek(const RequestSet& requests) const {
   const std::size_t n = size_ < requests.size() ? size_ : requests.size();
   if (n == 0) return -1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t idx = (pointer_ + i) % n;
-    if (requests.test(idx)) return static_cast<int>(idx);
-  }
-  return -1;
+  // The rotated order [start, n) then [0, start), one word at a time.
+  const std::size_t start = pointer_ % n;
+  const int upper = requests.find_first(start, n);
+  return upper >= 0 ? upper : requests.find_first(0, start);
 }
 
 int RoundRobinArbiter::arbitrate(const std::vector<bool>& requests) {

@@ -5,10 +5,6 @@
 
 namespace nbtinoc::noc {
 
-int OutVcStateView::num_vcs() const { return count_ >= 0 ? count_ : iu_->num_vcs(); }
-
-VcState OutVcStateView::state(int local) const { return iu_->vc(first_vc_ + local).state(); }
-
 InputUnit::InputUnit(Dir dir, const NocConfig& config)
     : dir_(dir),
       extra_stages_(config.extra_pipeline_stages),
@@ -23,7 +19,8 @@ InputUnit::InputUnit(Dir dir, const NocConfig& config)
       trackers_(static_cast<std::size_t>(config.buffers_per_port())),
       sa_arbiter_(static_cast<std::size_t>(config.total_vcs())),
       va_pending_((static_cast<std::size_t>(config.total_vcs()) + 63) / 64, 0),
-      pending_heads_(static_cast<std::size_t>(config.total_vcs())) {
+      pending_heads_(static_cast<std::size_t>(config.total_vcs())),
+      sa_ready_(static_cast<std::size_t>(config.total_vcs())) {
   // Event-driven NBTI accounting: each gateable unit (VC buffer, or pool
   // slot under the shared organization) reports its gate/wake transitions
   // straight to its tracker. The banks are sized once here and never
@@ -45,12 +42,23 @@ void InputUnit::assign_output(int i, Dir port, int downstream_vc) {
   out_vc_.at(static_cast<std::size_t>(i)) = downstream_vc;
   out_port_.at(static_cast<std::size_t>(i)) = port;
   va_pending_[static_cast<std::size_t>(i) >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  refresh_sa_ready(i);
 }
 
 void InputUnit::clear_output(int i) {
   out_vc_.at(static_cast<std::size_t>(i)) = kInvalidVc;
   out_port_.at(static_cast<std::size_t>(i)) = Dir::Local;
   refresh_va_pending(i);
+  refresh_sa_ready(i);
+}
+
+Flit InputUnit::pop_flit(int i) {
+  Flit flit = vc(i).pop();
+  if (is_tail(flit.type))
+    clear_output(i);
+  else
+    refresh_sa_ready(i);
+  return flit;
 }
 
 void InputUnit::refresh_va_pending(int i) {
@@ -85,8 +93,10 @@ void InputUnit::receive_flit(const Flit& flit, Dir route, int next_class, sim::C
     buf.set_next_class(next_class);
   }
   buf.push(stored);
-  // Body and tail writes land behind the head: only a head changes the set.
+  // Body and tail writes land behind the head: only a head changes the
+  // VA-pending set. Any write may refill a drained VC that holds its output.
   if (is_head(flit.type)) refresh_va_pending(flit.vc);
+  refresh_sa_ready(flit.vc);
 }
 
 void InputUnit::apply_gate_command(const GateCommand& cmd, sim::Cycle now,

@@ -82,11 +82,11 @@ Network::Network(NocConfig config) : config_(config), controller_(&baseline_cont
   wake_heap_.reserve(static_cast<std::size_t>(n) + 4 * static_cast<std::size_t>(terminals));
   pinned_routers_.assign(static_cast<std::size_t>(n), 0);
 
-  // Up_Down command links, one per existing input port. Delay 0: the
+  // Up_Down command links, one per existing input port. Zero delay: the
   // upstream pre-VA logic and the downstream header PMOS share a cycle
-  // (the paper's dedicated control wiring), but commands still *traverse a
-  // channel*, giving the fault injector a delivery point to drop or
-  // corrupt them at.
+  // (the paper's dedicated control wiring), but commands still cross a
+  // link, giving the fault injector a delivery point to drop or corrupt
+  // them at.
   gating_record_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(ports) *
                             static_cast<std::size_t>(config_.num_vnets) *
                             static_cast<std::size_t>(config_.vc_classes()),
@@ -95,9 +95,9 @@ Network::Network(NocConfig config) : config_(config), controller_(&baseline_cont
   up_down_links_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(ports));
   for (NodeId id = 0; id < n; ++id)
     for (int p = 0; p < ports; ++p)
-      if (router(id).has_input(static_cast<Dir>(p)))
-        up_down_links_[static_cast<std::size_t>(id) * static_cast<std::size_t>(ports) +
-                       static_cast<std::size_t>(p)] = std::make_unique<Channel<GateCommand>>(0);
+      up_down_links_[static_cast<std::size_t>(id) * static_cast<std::size_t>(ports) +
+                     static_cast<std::size_t>(p)]
+          .exists = router(id).has_input(static_cast<Dir>(p));
 }
 
 void Network::set_gate_controller(IGateController* controller) {
@@ -117,20 +117,12 @@ void Network::set_traffic_source(NodeId node, std::unique_ptr<ITrafficSource> so
   if (scheduler_mode_ == SchedulerMode::kActiveSet) active_nis_.insert(node);
 }
 
-Channel<GateCommand>& Network::up_down_link_mutable(NodeId router, Dir port) {
-  const auto ports = static_cast<std::size_t>(config_.ports_per_router());
-  auto& link = up_down_links_.at(static_cast<std::size_t>(router) * ports +
-                                 static_cast<std::size_t>(port));
-  if (link == nullptr) throw std::invalid_argument("Network::up_down_link: port does not exist");
-  return *link;
-}
-
-const Channel<GateCommand>& Network::up_down_link(NodeId router, Dir port) const {
+std::uint64_t Network::up_down_dropped(NodeId router, Dir port) const {
   const auto ports = static_cast<std::size_t>(config_.ports_per_router());
   const auto& link = up_down_links_.at(static_cast<std::size_t>(router) * ports +
                                        static_cast<std::size_t>(port));
-  if (link == nullptr) throw std::invalid_argument("Network::up_down_link: port does not exist");
-  return *link;
+  if (!link.exists) throw std::invalid_argument("Network::up_down_dropped: port does not exist");
+  return link.dropped;
 }
 
 void Network::set_fault_injector(sim::FaultInjector* injector) {
@@ -145,16 +137,16 @@ void Network::set_fault_injector(sim::FaultInjector* injector) {
     for (int p = 0; p < ports; ++p) {
       auto& link = up_down_links_[static_cast<std::size_t>(id) * static_cast<std::size_t>(ports) +
                                   static_cast<std::size_t>(p)];
-      if (link == nullptr) continue;
+      if (!link.exists) continue;
       // The storm only touches links its plan targets (an empty target list
       // targets everything — the pre-locality behavior). Untargeted links
       // keep the zero-overhead exact-delivery path and draw no RNG, so the
       // active-set scheduler can go on parking their routers.
       if (!control || !injector_->plan().targets_port(id, p)) {
-        link->set_fault_hook({});
+        link.fault = nullptr;
         continue;
       }
-      link->set_fault_hook([this](GateCommand& cmd, sim::Cycle) {
+      link.fault = [this](GateCommand& cmd, sim::Cycle) {
         if (injector_->drop_gate_command()) return false;
         int shift = 0;
         if (cmd.slot_form) {
@@ -182,7 +174,7 @@ void Network::set_fault_injector(sim::FaultInjector* injector) {
           }
         }
         return true;
-      });
+      };
     }
   }
   refresh_fault_pins();
@@ -248,6 +240,16 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
     const Dir port = static_cast<Dir>(p);
     if (!r.has_input(port) || r.input_port_dead(port)) continue;
     sim::FaultInjector* port_injector = injector_for(id, port);
+    InputUnit& iu = r.input(port);
+    UpDownLink& link = up_down_links_[static_cast<std::size_t>(id) *
+                                          static_cast<std::size_t>(ports) +
+                                      static_cast<std::size_t>(p)];
+    // The new-traffic signal's source: the local NI, or the upstream
+    // router's pending heads routed toward this port.
+    const NetworkInterface* local_ni =
+        is_local(port) ? &ni(topo_->terminal_of(id, local_slot(port))) : nullptr;
+    const Router* upstream = is_local(port) ? nullptr : &router(topo_->neighbor(id, port));
+    const Dir toward = opposite(port);
     if (config_.shared_buffers()) {
       // Shared organization: gating is slot-granular and the pool is one
       // physical resource, so the pre-VA policy decides once per *port*
@@ -255,25 +257,17 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
       // isolation is preserved structurally instead: every VC keeps its
       // reserved slots powered (invariant M*), so an escape class can
       // always make progress no matter which slots the policy gates.
-      bool new_traffic = false;
-      if (is_local(port)) {
-        new_traffic = ni(topo_->terminal_of(id, local_slot(port))).has_new_traffic(now);
-      } else {
-        const NodeId upstream = topo_->neighbor(id, port);
-        new_traffic =
-            router(upstream).has_new_traffic_toward(opposite(port), Router::kAnyVnet, 0, now);
-      }
-      const OutVcStateView view(&r.input(port));
+      const bool new_traffic =
+          local_ni != nullptr ? local_ni->has_new_traffic(now)
+                              : upstream->has_new_traffic_toward(toward, Router::kAnyVnet, 0, now);
+      const OutVcStateView view(&iu);
       GateCommand cmd = controller_->decide(PortKey{id, port}, view, new_traffic, now);
       cmd.slot_form = true;  // slot indices are pool-absolute: no rebase
       const unsigned char active = cmd.gating_active ? 1 : 0;
       for (int vn = 0; vn < config_.num_vnets; ++vn)
         for (int cls = 0; cls < num_classes; ++cls)
           gating_record_[gating_record_index(id, port, vn, cls)] = active;
-      Channel<GateCommand>& link = up_down_link_mutable(id, port);
-      link.push(cmd, now);
-      while (auto delivered = link.pop_ready(now))
-        r.input(port).apply_gate_command(*delivered, now, port_injector);
+      link.deliver(cmd, iu, now, port_injector);
       continue;
     }
     // One pre-VA decision per (virtual network, dateline class): each
@@ -286,28 +280,20 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
     // vnet, reproducing the pre-topology decision sequence exactly.
     for (int vn = 0; vn < config_.num_vnets; ++vn) {
       for (int cls = 0; cls < num_classes; ++cls) {
-        bool new_traffic = false;
-        if (is_local(port)) {
-          new_traffic = ni(topo_->terminal_of(id, local_slot(port))).has_new_traffic(vn, cls, now);
-        } else {
-          const NodeId upstream = topo_->neighbor(id, port);
-          new_traffic = router(upstream).has_new_traffic_toward(opposite(port), vn, cls, now);
-        }
+        const bool new_traffic = local_ni != nullptr
+                                     ? local_ni->has_new_traffic(vn, cls, now)
+                                     : upstream->has_new_traffic_toward(toward, vn, cls, now);
         const int first = config_.first_vc_of_vnet(vn) + config_.class_first_vc(cls);
-        const OutVcStateView view(&r.input(port), first, config_.class_num_vcs(cls));
+        const OutVcStateView view(&iu, first, config_.class_num_vcs(cls));
         GateCommand cmd = controller_->decide(PortKey{id, port}, view, new_traffic, now);
         if (cmd.keep_vc != kInvalidVc) cmd.keep_vc += first;  // local -> global
         cmd.first_vc = first;
         cmd.range_vcs = config_.class_num_vcs(cls);
         gating_record_[gating_record_index(id, port, vn, cls)] = cmd.gating_active ? 1 : 0;
-        // The command crosses its Up_Down channel (delay 0: push, then
-        // pop the same cycle). Under fault injection the channel's hook
-        // may drop it — the downstream port then simply holds state —
-        // or corrupt it in range.
-        Channel<GateCommand>& link = up_down_link_mutable(id, port);
-        link.push(cmd, now);
-        while (auto delivered = link.pop_ready(now))
-          r.input(port).apply_gate_command(*delivered, now, port_injector);
+        // The command crosses its Up_Down link. Under fault injection the
+        // link's hook may drop it — the downstream port then simply holds
+        // state — or corrupt it in range.
+        link.deliver(cmd, iu, now, port_injector);
       }
     }
   }
@@ -962,19 +948,22 @@ void Network::save_state(sim::SnapshotWriter& w) const {
   const auto save_credit = [](sim::SnapshotWriter& out, const Credit& c) {
     snapshot_save(out, c);
   };
-  const auto save_command = [](sim::SnapshotWriter& out, const GateCommand& c) {
-    snapshot_save(out, c);
-  };
   w.u64(flit_channels_.size());
   for (const auto& link : flit_channels_) link->save(w, save_flit);
   w.u64(credit_channels_.size());
   for (const auto& link : credit_channels_) link->save(w, save_credit);
+  // Each Up_Down link as the channel it models would save it: an empty
+  // in-flight list (commands never outlive their gating call) and the
+  // dropped count.
   std::uint64_t up_down_count = 0;
   for (const auto& link : up_down_links_)
-    if (link) ++up_down_count;
+    if (link.exists) ++up_down_count;
   w.u64(up_down_count);
-  for (const auto& link : up_down_links_)
-    if (link) link->save(w, save_command);
+  for (const auto& link : up_down_links_) {
+    if (!link.exists) continue;
+    w.u64(0);
+    w.u64(link.dropped);
+  }
 
   for (const auto& source : sources_) {
     w.b(source != nullptr);
@@ -1025,17 +1014,19 @@ void Network::load_state(sim::SnapshotReader& r) {
 
   const auto load_flit = [](sim::SnapshotReader& in) { return snapshot_load_flit(in); };
   const auto load_credit = [](sim::SnapshotReader& in) { return snapshot_load_credit(in); };
-  const auto load_command = [](sim::SnapshotReader& in) { return snapshot_load_gate_command(in); };
   r.expect_u64(flit_channels_.size(), "flit-channel count");
   for (auto& link : flit_channels_) link->load(r, load_flit);
   r.expect_u64(credit_channels_.size(), "credit-channel count");
   for (auto& link : credit_channels_) link->load(r, load_credit);
   std::uint64_t up_down_count = 0;
   for (const auto& link : up_down_links_)
-    if (link) ++up_down_count;
+    if (link.exists) ++up_down_count;
   r.expect_u64(up_down_count, "up-down link count");
-  for (auto& link : up_down_links_)
-    if (link) link->load(r, load_command);
+  for (auto& link : up_down_links_) {
+    if (!link.exists) continue;
+    r.expect_u64(0, "up-down in-flight command count");
+    link.dropped = r.u64();
+  }
 
   for (std::size_t t = 0; t < sources_.size(); ++t) {
     const bool present = r.b();

@@ -32,7 +32,7 @@ Router::Router(NodeId id, const NocConfig& config, sim::StatRegistry& stats,
       port_dead_(static_cast<std::size_t>(ports_), 0),
       va_requests_(static_cast<std::size_t>(ports_ * config.total_vcs())),
       vnet_has_free_(static_cast<std::size_t>(config.num_vnets * config.vc_classes())),
-      sa_ready_(static_cast<std::size_t>(config.total_vcs())),
+      sa_requested_outs_(static_cast<std::size_t>(ports_)),
       sa_port_requests_(static_cast<std::size_t>(ports_)),
       sa_candidate_(static_cast<std::size_t>(ports_), kInvalidVc) {
   // The local (NI-facing) ports always exist; mesh-facing ports are created
@@ -290,62 +290,56 @@ void Router::va_stage(sim::Cycle now) {
 }
 
 void Router::sa_st_stage(sim::Cycle now) {
-  // SA readiness requires a non-empty (hence Active) VC: an O(ports) idle
-  // skip, side-effect-free like the request-less VA pass.
-  if (dead_ || !any_busy_input()) return;
-  const int num_vcs = config_.total_vcs();
+  if (dead_) return;
 
-  // Phase 1: each input port nominates one ready VC (round-robin).
-  std::fill(sa_candidate_.begin(), sa_candidate_.end(), kInvalidVc);
+  // Phase 1: each input port nominates one ready VC (round-robin). Only
+  // SA-ready VCs (buffered flit, output VC held) are visited; the front
+  // flit's pipeline age and the downstream credit are checked per cycle.
+  // An idle port costs one word test, so idle routers stay O(ports).
   for (int p = 0; p < ports_; ++p) {
-    auto& iu = inputs_[static_cast<std::size_t>(p)];
-    if (!iu) continue;
-    sa_ready_.clear();
-    bool any = false;
-    for (int v = 0; v < num_vcs; ++v) {
-      const VcBuffer& buf = iu->vc(v);
-      if (!iu->has_output(v) || buf.empty() || !iu->flit_eligible(buf.front().arrived_at, now))
-        continue;
-      const Dir out = iu->out_port(v);
-      if (!is_local(out)) {
-        const auto& ou = outputs_[static_cast<std::size_t>(out)];
-        if (!ou || !ou->has_credit(iu->out_vc(v))) continue;
-      }
-      sa_ready_.set(static_cast<std::size_t>(v));
-      any = true;
-    }
-    if (any) sa_candidate_[static_cast<std::size_t>(p)] = iu->sa_arbiter().peek(sa_ready_);
+    const auto& iu = inputs_[static_cast<std::size_t>(p)];
+    sa_candidate_[static_cast<std::size_t>(p)] = kInvalidVc;
+    if (!iu || !iu->any_sa_ready()) continue;
+    const int v = iu->nominate_sa([&](int vc) {
+      if (!iu->flit_eligible(iu->vc(vc).front().arrived_at, now)) return false;
+      const Dir out = iu->out_port(vc);
+      if (is_local(out)) return true;
+      const auto& ou = outputs_[static_cast<std::size_t>(out)];
+      return ou && ou->has_credit(iu->out_vc(vc));
+    });
+    if (v == kInvalidVc) continue;
+    sa_candidate_[static_cast<std::size_t>(p)] = v;
+    sa_requested_outs_.set(static_cast<std::size_t>(iu->out_port(v)));
   }
 
-  // Phase 2: each output port grants one nominating input port.
-  for (int o = 0; o < ports_; ++o) {
+  // Phase 2: each requested output port grants one nominating input port,
+  // in output order. A nominee targets exactly one output, so a grant
+  // never changes what a later output sees.
+  sa_requested_outs_.for_each([&](int o) {
     auto& ou = outputs_[static_cast<std::size_t>(o)];
-    if (!ou) continue;
+    if (!ou) return;
     sa_port_requests_.clear();
-    bool any = false;
     for (int p = 0; p < ports_; ++p) {
       const int v = sa_candidate_[static_cast<std::size_t>(p)];
       if (v == kInvalidVc) continue;
-      if (inputs_[static_cast<std::size_t>(p)]->out_port(v) == static_cast<Dir>(o)) {
+      if (inputs_[static_cast<std::size_t>(p)]->out_port(v) == static_cast<Dir>(o))
         sa_port_requests_.set(static_cast<std::size_t>(p));
-        any = true;
-      }
     }
-    if (!any) continue;
     const int port = ou->sa_arbiter().arbitrate(sa_port_requests_);
-    if (port < 0) continue;
+    if (port < 0) return;
 
     // Switch + link traversal for the winner.
     InputUnit& iu = *inputs_[static_cast<std::size_t>(port)];
     const int vc = sa_candidate_[static_cast<std::size_t>(port)];
-    sa_candidate_[static_cast<std::size_t>(port)] = kInvalidVc;  // one grant per input port per cycle
+    // One grant per input port per cycle; a tail pop below also resets the
+    // VC's output port, which must not read as a request for a later output.
+    sa_candidate_[static_cast<std::size_t>(port)] = kInvalidVc;
     const int out_vc = iu.out_vc(vc);
     const Dir out = iu.out_port(vc);
     iu.sa_arbiter().advance_past(static_cast<std::size_t>(vc));
 
-    Flit flit = iu.vc(vc).pop();
+    Flit flit = iu.pop_flit(vc);
     const bool tail = is_tail(flit.type);
-    if (tail) iu.clear_output(vc);
 
     if (is_local(out)) {
       Channel<Flit>* eject = eject_out_[static_cast<std::size_t>(out)];
@@ -365,7 +359,8 @@ void Router::sa_st_stage(sim::Cycle now) {
     // Credit (and VC-free notification) back to the upstream entity.
     Channel<Credit>* credit_out = credit_out_[static_cast<std::size_t>(port)];
     if (credit_out != nullptr) credit_out->push(Credit{vc, tail}, now);
-  }
+  });
+  sa_requested_outs_.clear();
 }
 
 void Router::accept_arrivals(sim::Cycle now) {

@@ -93,6 +93,7 @@ std::size_t InvariantChecker::check() {
   check_flit_conservation(cycle);
   check_deadlock(cycle);
   check_va_pending(cycle);
+  check_sa_ready(cycle);
   if (network_->scheduler_mode() == SchedulerMode::kActiveSet) check_active_set(cycle);
   ++cycles_checked_;
   return violations_.size() - before;
@@ -156,6 +157,25 @@ void InvariantChecker::check_va_pending(sim::Cycle cycle) {
                             to_string(buf.route()) + ", vnet " +
                             std::to_string(buf.front().vnet) + ", class " +
                             std::to_string(buf.next_class()) + ")");
+      }
+    }
+  }
+}
+
+void InvariantChecker::check_sa_ready(sim::Cycle cycle) {
+  const NocConfig& cfg = network_->config();
+  for (NodeId id = 0; id < network_->num_routers(); ++id) {
+    const Router& r = network_->router(id);
+    for (int p = 0; p < r.num_ports(); ++p) {
+      const Dir port = static_cast<Dir>(p);
+      if (!r.has_input(port)) continue;
+      const InputUnit& iu = r.input(port);
+      for (int v = 0; v < cfg.total_vcs(); ++v) {
+        const bool expected = iu.has_output(v) && !iu.vc(v).empty();
+        if (iu.sa_ready(v) != expected)
+          record(cycle, "SA-ready bit of r" + std::to_string(id) + ":" + dir_letter(port) +
+                            " vc" + std::to_string(v) + " is " + (expected ? "clear" : "set") +
+                            ", buffer scan says " + (expected ? "ready" : "not ready"));
       }
     }
   }

@@ -218,6 +218,38 @@ TEST(Fleet, DigestSeparatesTopologyAndBufferOrg) {
   EXPECT_EQ(fleet_digest(mesh).find("org="), std::string::npos);
 }
 
+TEST(Fleet, DigestSeparatesBufferAndPipelineShape) {
+  const FleetSpec base = small_spec();
+  const std::string base_digest = fleet_digest(base);
+  const auto differs = [&](const char* field, auto&& change) {
+    FleetSpec spec = small_spec();
+    change(spec.scenario);
+    EXPECT_NE(fleet_digest(spec), base_digest) << field;
+  };
+  differs("buffer_depth", [](sim::Scenario& s) { s.buffer_depth = 8; });
+  differs("packet_length", [](sim::Scenario& s) { s.packet_length = 5; });
+  differs("flit_width_bits", [](sim::Scenario& s) { s.flit_width_bits = 32; });
+  differs("link_width_bits", [](sim::Scenario& s) { s.link_width_bits = 64; });
+  differs("routing", [](sim::Scenario& s) { s.routing = "west-first"; });
+  differs("router_stages", [](sim::Scenario& s) { s.router_stages = 4; });
+  differs("wakeup_latency", [](sim::Scenario& s) { s.wakeup_latency = 2; });
+  // Defaults name none of them, so default digests keep their bytes.
+  for (const char* tag : {" depth=", " plen=", " flit_bits=", " link_bits=", " routing=",
+                          " stages=", " wake="})
+    EXPECT_EQ(base_digest.find(tag), std::string::npos) << tag;
+  // And a merge refuses shards whose specs differ only in one of them.
+  FleetSpec deep = small_spec();
+  deep.scenario.buffer_depth = 8;
+  const FleetShardResult a = run_fleet_shard(base, 0, 2, 1);
+  const FleetShardResult b = run_fleet_shard(deep, 1, 2, 1);
+  try {
+    merge_fleet_shards(base, {a, b});
+    FAIL() << "a deeper-buffer shard merged into the default fleet";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("different fleet configuration"), std::string::npos);
+  }
+}
+
 TEST(Fleet, RunsOnTorus) {
   sim::Scenario s = sim::Scenario::synthetic(3, 2, 0.1);
   s.topology = "torus";

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "nbtinoc/core/sweep.hpp"
+#include "nbtinoc/sim/snapshot.hpp"
 
 namespace nbtinoc::core {
 namespace {
@@ -192,6 +193,33 @@ TEST(FaultResilience, PortRecoversWhenReadingsReturn) {
   ctrl.post_cycle(10);
   EXPECT_FALSE(ctrl.quarantined(key));
   EXPECT_EQ(net.stats().counter("fault.recoveries"), 12u);
+}
+
+TEST(FaultResilience, UpDownDropsAreCountedPerLinkAndSnapshotted) {
+  const nbti::NbtiModel model = nbti::NbtiModel::calibrated(nbti::NbtiParams{}, {});
+  sim::FaultPlan plan;
+  plan.gate_cmd_drop_rate = 0.5;
+  plan.targets = {{0, static_cast<int>(noc::Dir::East)}};  // one link drops
+  noc::Network net(mesh());
+  PolicyGateController ctrl(net, sensor_wise_config(), model, {}, nbti::PvConfig{}, 1);
+  ctrl.attach();
+  sim::FaultInjector injector(plan, 5);
+  net.set_fault_injector(&injector);
+  net.run(200);
+  const std::uint64_t dropped = net.up_down_dropped(0, noc::Dir::East);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(net.up_down_dropped(1, noc::Dir::West), 0u);  // untargeted: exact delivery
+  EXPECT_THROW((void)net.up_down_dropped(0, noc::Dir::West), std::invalid_argument);  // no port
+
+  sim::SnapshotWriter w;
+  net.save_state(w);
+  noc::Network restored(mesh());
+  sim::FaultInjector restored_injector(plan, 5);
+  restored.set_fault_injector(&restored_injector);
+  const std::string bytes = w.take();
+  sim::SnapshotReader r(bytes);
+  restored.load_state(r);
+  EXPECT_EQ(restored.up_down_dropped(0, noc::Dir::East), dropped);
 }
 
 // --- sweep determinism -----------------------------------------------------

@@ -113,6 +113,47 @@ TEST(RequestSet, ArbitrateMatchesVectorBoolOverload) {
   }
 }
 
+// The word-scan peek over multi-word sets, arbiters longer or shorter than
+// the set, and every pointer position grants exactly like the bit loop of
+// the vector<bool> overload.
+TEST(RequestSet, WordScanPeekMatchesVectorBoolAcrossWords) {
+  std::uint32_t lcg = 777;
+  const auto next = [&lcg] {
+    lcg = lcg * 1664525u + 1013904223u;
+    return lcg >> 8;
+  };
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t arb_size = 1 + next() % 140;
+    const std::size_t set_size = 1 + next() % 140;
+    RoundRobinArbiter arb(arb_size);
+    arb.set_pointer(next() % arb_size);
+    std::vector<bool> requests(set_size);
+    RequestSet set(set_size);
+    const unsigned density = 1 + next() % 8;
+    for (std::size_t i = 0; i < set_size; ++i)
+      if (next() % density == 0) {
+        requests[i] = true;
+        set.set(i);
+      }
+    EXPECT_EQ(arb.peek(set), arb.peek(requests)) << "round " << round;
+  }
+}
+
+TEST(RequestSet, FindFirstAndForEach) {
+  RequestSet set(130);
+  for (const std::size_t i : {3u, 63u, 64u, 129u}) set.set(i);
+  EXPECT_EQ(set.find_first(0, 130), 3);
+  EXPECT_EQ(set.find_first(4, 130), 63);
+  EXPECT_EQ(set.find_first(4, 63), -1);
+  EXPECT_EQ(set.find_first(64, 65), 64);
+  EXPECT_EQ(set.find_first(65, 129), -1);
+  EXPECT_EQ(set.find_first(65, 130), 129);
+  EXPECT_EQ(set.find_first(7, 7), -1);
+  std::vector<int> visited;
+  set.for_each([&](int i) { visited.push_back(i); });
+  EXPECT_EQ(visited, (std::vector<int>{3, 63, 64, 129}));
+}
+
 TEST(RequestSet, ShorterThanArbiterTolerated) {
   RoundRobinArbiter arb(4);
   RequestSet set(1);

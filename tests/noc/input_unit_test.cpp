@@ -179,6 +179,130 @@ TEST(InputUnit, SnapshotLoadRebuildsVaPendingSet) {
   EXPECT_EQ(loaded.pending_head(2).arrived_at, 4u);
 }
 
+Flit flit_of(PacketId pkt, FlitType type, int vc) {
+  Flit f = head(pkt);
+  f.type = type;
+  f.vc = vc;
+  return f;
+}
+
+TEST(InputUnit, SaReadySetFollowsTheFlitLifecycle) {
+  InputUnit iu(Dir::East, config());
+  iu.vc(2).allocate(3, 0);
+  iu.receive_flit(flit_of(3, FlitType::Head, 2), Dir::South, 1);
+  EXPECT_FALSE(iu.sa_ready(2));  // buffered, but no output VC yet
+  iu.assign_output(2, Dir::South, 1);
+  EXPECT_TRUE(iu.sa_ready(2));
+  EXPECT_EQ(iu.pop_flit(2).type, FlitType::Head);
+  EXPECT_FALSE(iu.sa_ready(2));  // drained ahead of its body flits
+  EXPECT_TRUE(iu.has_output(2));
+  iu.receive_flit(flit_of(3, FlitType::Body, 2), Dir::North, 2);
+  EXPECT_TRUE(iu.sa_ready(2));  // a body write refills the VC
+  iu.receive_flit(flit_of(3, FlitType::Tail, 2), Dir::North, 3);
+  EXPECT_TRUE(iu.sa_ready(2));
+  EXPECT_EQ(iu.pop_flit(2).type, FlitType::Body);
+  EXPECT_TRUE(iu.sa_ready(2));  // the tail is still buffered
+  EXPECT_EQ(iu.pop_flit(2).type, FlitType::Tail);
+  EXPECT_FALSE(iu.sa_ready(2));
+  EXPECT_FALSE(iu.has_output(2));  // the tail pop releases the allocation
+  EXPECT_TRUE(iu.vc(2).is_idle());
+  EXPECT_FALSE(iu.any_sa_ready());
+}
+
+TEST(InputUnit, ClearOutputAndPurgeClearSaReadyBit) {
+  InputUnit iu(Dir::East, config());
+  for (const int v : {0, 1}) {
+    iu.vc(v).allocate(static_cast<PacketId>(v + 1), 0);
+    iu.receive_flit(flit_of(static_cast<PacketId>(v + 1), FlitType::Head, v), Dir::West, 3);
+    iu.assign_output(v, Dir::West, v);
+    ASSERT_TRUE(iu.sa_ready(v));
+  }
+  iu.clear_output(0);
+  EXPECT_FALSE(iu.sa_ready(0));
+  EXPECT_EQ(iu.purge_vc(1), 1);
+  EXPECT_FALSE(iu.sa_ready(1));
+  EXPECT_FALSE(iu.any_sa_ready());
+}
+
+TEST(InputUnit, SnapshotLoadRebuildsSaReadySet) {
+  InputUnit saved(Dir::East, config());
+  for (const int v : {0, 2, 3}) {
+    saved.vc(v).allocate(static_cast<PacketId>(v + 1), 0);
+    saved.receive_flit(flit_of(static_cast<PacketId>(v + 1), FlitType::Head, v), Dir::North, 4);
+  }
+  saved.assign_output(0, Dir::North, 1);  // granted and buffered: ready
+  saved.assign_output(3, Dir::North, 2);
+  (void)saved.pop_flit(3);                // granted but drained: not ready
+  sim::SnapshotWriter w;
+  saved.save(w);
+  InputUnit loaded(Dir::East, config());
+  sim::SnapshotReader r(w.data());
+  loaded.load(r);
+  for (int v = 0; v < 4; ++v) EXPECT_EQ(loaded.sa_ready(v), saved.sa_ready(v)) << v;
+  EXPECT_TRUE(loaded.sa_ready(0));
+  EXPECT_FALSE(loaded.sa_ready(2));
+  EXPECT_FALSE(loaded.sa_ready(3));
+}
+
+TEST(InputUnit, SaReadySetSpansMoreThanOneWord) {
+  // 2 vnets x 40 VCs: bits 64+ live in the second mask word.
+  NocConfig c = config(40);
+  c.num_vnets = 2;
+  InputUnit iu(Dir::East, c);
+  for (const int v : {5, 70}) {
+    iu.vc(v).allocate(static_cast<PacketId>(v), 0);
+    Flit f = flit_of(static_cast<PacketId>(v), FlitType::Head, v);
+    f.vnet = c.vnet_of_vc(v);
+    iu.receive_flit(f, Dir::North, 1);
+    iu.assign_output(v, Dir::North, 0);
+  }
+  const auto any = [](int) { return true; };
+  EXPECT_EQ(iu.nominate_sa(any), 5);  // pointer 0
+  iu.sa_arbiter().advance_past(5);
+  EXPECT_EQ(iu.nominate_sa(any), 70);  // from 6 on, the second word comes first
+  EXPECT_EQ(iu.nominate_sa([](int v) { return v != 70; }), 5);  // then wraps
+  iu.sa_arbiter().advance_past(70);
+  EXPECT_EQ(iu.nominate_sa(any), 5);
+  EXPECT_EQ(iu.nominate_sa([](int) { return false; }), -1);
+  (void)iu.pop_flit(70);
+  EXPECT_FALSE(iu.sa_ready(70));
+  EXPECT_TRUE(iu.sa_ready(5));
+}
+
+TEST(InputUnit, NominateSaMatchesArbiterPeek) {
+  // Random ready sets, acceptance masks and pointers over a two-word port:
+  // the nominee is always RoundRobinArbiter::peek over the accepted VCs.
+  NocConfig c = config(35);
+  c.num_vnets = 2;
+  const int n = c.total_vcs();
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    InputUnit iu(Dir::East, c);
+    std::vector<bool> accepted(static_cast<std::size_t>(n), false);
+    RequestSet expected(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) {
+      if (next() % 3 != 0) continue;
+      iu.vc(v).allocate(static_cast<PacketId>(v + 1), 0);
+      iu.receive_flit(flit_of(static_cast<PacketId>(v + 1), FlitType::Head, v), Dir::North, 0);
+      iu.assign_output(v, Dir::North, 0);
+      if (next() % 2 == 0) {
+        accepted[static_cast<std::size_t>(v)] = true;
+        expected.set(static_cast<std::size_t>(v));
+      }
+    }
+    iu.sa_arbiter().set_pointer(static_cast<std::size_t>(next() % static_cast<std::uint64_t>(n)));
+    const int nominee = iu.nominate_sa(
+        [&](int v) { return static_cast<bool>(accepted[static_cast<std::size_t>(v)]); });
+    EXPECT_EQ(nominee, iu.sa_arbiter().peek(expected)) << "trial " << trial;
+  }
+}
+
 TEST(InputUnit, AssignAndClearOutput) {
   InputUnit iu(Dir::East, config());
   iu.assign_output(2, Dir::South, 1);

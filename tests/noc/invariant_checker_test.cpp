@@ -178,6 +178,41 @@ TEST(InvariantChecker, CatchesStaleVaPendingSet) {
   EXPECT_TRUE(key_reported);
 }
 
+TEST(InvariantChecker, CatchesStaleSaReadySet) {
+  Network net(mesh(2, 2));
+  auto& iu = net.router(0).input(Dir::Local);
+  Flit head;
+  head.type = FlitType::Head;
+  head.dst = 1;
+  // A flit written behind the input unit's back into a VC that holds its
+  // output: the buffers say "ready", the set never heard of it.
+  head.packet = 77;
+  head.vc = 0;
+  iu.vc(0).allocate(77, 0);
+  iu.assign_output(0, Dir::East, 0);
+  iu.vc(0).push(head);
+  // A ready VC drained behind the set's back: the bit outlives the flit.
+  head.packet = 78;
+  head.vc = 1;
+  iu.vc(1).allocate(78, 0);
+  iu.receive_flit(head, Dir::East, 0);
+  iu.assign_output(1, Dir::East, 1);
+  ASSERT_TRUE(iu.sa_ready(1));
+  (void)iu.vc(1).pop();
+  InvariantChecker checker(net);
+  checker.check();
+  bool unset_reported = false;
+  bool stale_reported = false;
+  for (const auto& v : checker.violations()) {
+    if (v.what.find("SA-ready bit of r0:L vc0 is clear") != std::string::npos)
+      unset_reported = true;
+    if (v.what.find("SA-ready bit of r0:L vc1 is set") != std::string::npos)
+      stale_reported = true;
+  }
+  EXPECT_TRUE(unset_reported);
+  EXPECT_TRUE(stale_reported);
+}
+
 TEST(InvariantChecker, GatedBuffersStayEmptyUnderGating) {
   // Drive the built-in baseline-off path: gate VC1 of one port via a
   // direct command while traffic flows on VC0 — the mechanism layer must
