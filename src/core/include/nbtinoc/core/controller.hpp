@@ -95,21 +95,22 @@ class PolicyGateController final : public noc::IGateController {
   noc::GateCommand decide(const noc::PortKey& key, const noc::OutVcStateView& view,
                           bool new_traffic, sim::Cycle now) override;
   void post_cycle(sim::Cycle now) override;
-  /// Parked-fabric horizon: with a fault injector installed the fault
+  /// Parked-fabric horizon: under a control-plane fault plan the fault
   /// processes draw RNG every cycle, so the horizon is pinned to `now`
   /// (no jump can span a cycle); otherwise the only autonomous events are
   /// the per-port sensor refresh epochs, so the horizon is the earliest
-  /// next_refresh_cycle() across ports.
+  /// next_refresh_cycle() across ports (the fence post_cycle keeps).
   sim::Cycle next_event_cycle(sim::Cycle now) override;
   const char* name() const override;
 
   /// Installs this controller on the network it was built for.
   void attach() { network_->set_gate_controller(this); }
 
-  /// Routes every Down_Up refresh through the injector's sensor fault
-  /// process and arms the per-port health watchdogs (non-owning; nullptr
-  /// to detach). With no injector installed the controller's behavior is
-  /// bit-identical to a build without this subsystem.
+  /// Routes the Down_Up refreshes of every port the injector's plan reaches
+  /// (sim::FaultPlan::reaches) through its sensor fault process and arms
+  /// those ports' health watchdogs (non-owning; nullptr to detach). Ports
+  /// the plan does not reach — every port of a structural-only plan —
+  /// behave bit-identically to a run without an injector.
   void set_fault_injector(sim::FaultInjector* injector) { injector_ = injector; }
   sim::FaultInjector* fault_injector() { return injector_; }
 
@@ -159,8 +160,9 @@ class PolicyGateController final : public noc::IGateController {
     std::vector<double> initial_vths;
     nbti::NbtiSensorBank sensors;
     /// What the upstream router believes the readings are: the last
-    /// *delivered* (possibly corrupted) Down_Up report. Mirrors
-    /// sensors.measured_vth exactly while no injector is installed.
+    /// *delivered* (possibly corrupted) Down_Up report. Refreshed only on
+    /// ports the fault plan reaches; elsewhere compute() reads the sensor
+    /// bank itself.
     std::vector<double> effective_vths;
     bool quarantined = false;
     int epochs_since_report = 0;  ///< staleness watchdog input
@@ -171,17 +173,16 @@ class PolicyGateController final : public noc::IGateController {
   /// O(1) lookup through port_index_; throws std::out_of_range (like
   /// map::at) for a port the controller does not cover.
   const PortContext& context(const noc::PortKey& key) const;
-  /// True if the installed fault plan reaches this port's sensor readings.
+  /// True if the installed fault plan reaches this port (FaultPlan::reaches).
   bool faulted(const noc::PortKey& key) const;
+  /// True if an installed plan has any control-plane fault process.
+  bool control_plan() const { return injector_ != nullptr && injector_->plan().control_enabled(); }
   /// The sensor-wise family's decide() through the range's DecideMemo.
   noc::GateCommand memo_decide(const noc::PortKey& key, const noc::OutVcStateView& view,
                                bool traffic);
 
   noc::GateCommand compute(const noc::PortKey& key, const noc::OutVcStateView& view,
                            bool new_traffic, sim::Cycle now);
-  /// most_degraded_in over effective (fault-corrupted) readings, same
-  /// lowest-index tie-break as the sensor bank's comparator tree.
-  int effective_local_most_degraded(const PortContext& ctx, const noc::OutVcStateView& view) const;
   /// One Down_Up refresh epoch of `key` under the installed injector:
   /// fault-process step, report delivery/corruption, health bookkeeping.
   void faulted_epoch(const noc::PortKey& key, PortContext& ctx);
@@ -201,10 +202,11 @@ class PolicyGateController final : public noc::IGateController {
   int ports_per_router_ = 0;
   sim::FaultInjector* injector_ = nullptr;
 
-  /// Earliest sensor-refresh epoch across ports: fault-free post_cycle
-  /// calls before this cycle are provable no-ops and return in O(1) — the
-  /// controller-side epoch fence of the event-driven schedulers.
-  sim::Cycle post_cycle_fence_ = 0;
+  /// Earliest sensor-refresh epoch across ports: post_cycle calls before
+  /// this cycle without a control-plane storm are provable no-ops and
+  /// return in O(1) — the controller-side epoch fence of the event-driven
+  /// schedulers, and their horizon (next_event_cycle).
+  sim::Cycle post_cycle_fence_ = sim::kCycleNever;
 
   // Interned stat handles (fault.quarantined_port_cycles is bumped every
   // cycle per quarantined port — a hot-path site under fault injection).

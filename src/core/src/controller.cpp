@@ -85,9 +85,8 @@ PolicyGateController::PolicyGateController(noc::Network& network, PolicyConfig c
                     nbti::NbtiSensorBank(bank_vths, model, op, config_.sensor,
                                          noise_seeder.next()),
                     /*effective_vths=*/{}};
-    ctx.effective_vths.resize(ctx.sensors.size());
-    for (std::size_t i = 0; i < ctx.sensors.size(); ++i)
-      ctx.effective_vths[i] = ctx.sensors.measured_vth(i);
+    ctx.effective_vths = ctx.sensors.measured_vths();
+    post_cycle_fence_ = std::min(post_cycle_fence_, ctx.sensors.next_refresh_cycle());
     ports_.emplace(key, std::move(ctx));
   }
   ports_per_router_ = cfg.ports_per_router();
@@ -138,8 +137,8 @@ int PolicyGateController::local_most_degraded(const noc::PortKey& key,
 }
 
 bool PolicyGateController::faulted(const noc::PortKey& key) const {
-  return injector_ != nullptr && injector_->enabled() &&
-         injector_->plan().targets_port(static_cast<int>(key.router), static_cast<int>(key.port));
+  return injector_ != nullptr &&
+         injector_->plan().reaches(static_cast<int>(key.router), static_cast<int>(key.port));
 }
 
 noc::GateCommand PolicyGateController::memo_decide(const noc::PortKey& key,
@@ -204,69 +203,26 @@ noc::GateCommand PolicyGateController::decide(const noc::PortKey& key,
   return held.command;
 }
 
-int PolicyGateController::effective_local_most_degraded(const PortContext& ctx,
-                                                        const noc::OutVcStateView& view) const {
-  int worst = 0;
-  for (int i = 1; i < view.num_vcs(); ++i)
-    if (ctx.effective_vths.at(static_cast<std::size_t>(view.global_vc(i))) >
-        ctx.effective_vths.at(static_cast<std::size_t>(view.global_vc(worst))))
-      worst = i;
-  return worst;
-}
-
 noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
                                                const noc::OutVcStateView& view, bool new_traffic,
                                                sim::Cycle now) {
-  // Under fault injection the sensor policies act on the *effective* (last
-  // delivered, possibly corrupted) readings, and a quarantined port runs
-  // the sensor-free rr fallback: keep gating, stop trusting. With no
-  // injector this block is dead and the paths below are bit-identical to
-  // the fault-free build.
-  // Targeted plans (FaultPlan::targets) confine the storm: an untargeted
-  // port never sees corrupted readings or quarantine and must take the
-  // fault-free paths below — its effective_vths are never refreshed.
-  const bool sensor_policy = config_.kind == PolicyKind::kSensorWiseNoTraffic ||
-                             config_.kind == PolicyKind::kSensorWise ||
-                             config_.kind == PolicyKind::kSensorRank ||
-                             config_.kind == PolicyKind::kSensorWiseSlotMd;
-  if (sensor_policy && faulted(key)) {
+  // The readings a sensor policy acts on: on a port the fault plan reaches,
+  // the *effective* ones (the last delivered, possibly corrupted Down_Up
+  // report); elsewhere the sensor bank's own, which is what the effective
+  // readings mirror until a fault lands. A quarantined port stops trusting
+  // its readings and runs the sensor-free rr fallback of its organization:
+  // keep gating, stop trusting.
+  PolicyKind kind = config_.kind;
+  const std::vector<double>* vths = nullptr;
+  if (kind == PolicyKind::kSensorWiseNoTraffic || kind == PolicyKind::kSensorWise ||
+      kind == PolicyKind::kSensorRank || kind == PolicyKind::kSensorWiseSlotMd) {
     const PortContext& ctx = context(key);
-    if (ctx.quarantined) {
-      if (config_.kind == PolicyKind::kSensorWiseSlotMd) {
-        // Slot policies fall back to the slot-form sensor-less baseline —
-        // the command stays in slot coordinates for this port's pool.
-        const noc::SharedBufferPool& pool = *view.unit()->pool();
-        const int candidate = static_cast<int>((now / config_.rr_rotation_period) %
-                                               static_cast<sim::Cycle>(pool.num_slots()));
-        return rr_slot_decide(pool, candidate, new_traffic);
-      }
-      const int candidate = static_cast<int>((now / config_.rr_rotation_period) %
-                                             static_cast<sim::Cycle>(view.num_vcs()));
-      return rr_no_sensor_decide(view, candidate, new_traffic);
-    }
-    switch (config_.kind) {
-      case PolicyKind::kSensorWiseNoTraffic:
-        return sensor_wise_decide(view, effective_local_most_degraded(ctx, view),
-                                  /*bool_traffic=*/true);
-      case PolicyKind::kSensorWise:
-        return sensor_wise_decide(view, effective_local_most_degraded(ctx, view), new_traffic);
-      case PolicyKind::kSensorWiseSlotMd: {
-        const noc::SharedBufferPool& pool = *view.unit()->pool();
-        degradation_scratch_.resize(ctx.effective_vths.size());
-        for (std::size_t s = 0; s < ctx.effective_vths.size(); ++s)
-          degradation_scratch_[s] = ctx.effective_vths[s];
-        return sensor_wise_slot_decide(pool, degradation_scratch_, new_traffic);
-      }
-      default: {
-        degradation_scratch_.resize(static_cast<std::size_t>(view.num_vcs()));
-        for (int i = 0; i < view.num_vcs(); ++i)
-          degradation_scratch_[static_cast<std::size_t>(i)] =
-              ctx.effective_vths.at(static_cast<std::size_t>(view.global_vc(i)));
-        return sensor_rank_decide(view, degradation_scratch_, new_traffic);
-      }
-    }
+    const bool reached = faulted(key);
+    vths = reached ? &ctx.effective_vths : &ctx.sensors.measured_vths();
+    if (reached && ctx.quarantined)
+      kind = kind == PolicyKind::kSensorWiseSlotMd ? PolicyKind::kRrSlot : PolicyKind::kRrNoSensor;
   }
-  switch (config_.kind) {
+  switch (kind) {
     case PolicyKind::kBaseline:
       return noc::GateCommand{};
     case PolicyKind::kRrNoSensor: {
@@ -275,25 +231,22 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
       return rr_no_sensor_decide(view, candidate, new_traffic);
     }
     case PolicyKind::kSensorWiseNoTraffic:
-      return sensor_wise_decide(view, local_most_degraded(key, view), /*bool_traffic=*/true);
-    case PolicyKind::kSensorWise:
-      return sensor_wise_decide(view, local_most_degraded(key, view), new_traffic);
+    case PolicyKind::kSensorWise: {
+      const auto first = static_cast<std::size_t>(view.first_vc());
+      const auto md =
+          nbti::most_degraded_index(*vths, first, static_cast<std::size_t>(view.num_vcs()));
+      return sensor_wise_decide(view, static_cast<int>(md - first),
+                                kind == PolicyKind::kSensorWiseNoTraffic || new_traffic);
+    }
     case PolicyKind::kSensorRank: {
-      const auto& sensors = context(key).sensors;
       degradation_scratch_.resize(static_cast<std::size_t>(view.num_vcs()));
       for (int i = 0; i < view.num_vcs(); ++i)
         degradation_scratch_[static_cast<std::size_t>(i)] =
-            sensors.measured_vth(static_cast<std::size_t>(view.global_vc(i)));
+            vths->at(static_cast<std::size_t>(view.global_vc(i)));
       return sensor_rank_decide(view, degradation_scratch_, new_traffic);
     }
-    case PolicyKind::kSensorWiseSlotMd: {
-      const auto& sensors = context(key).sensors;
-      const noc::SharedBufferPool& pool = *view.unit()->pool();
-      degradation_scratch_.resize(sensors.size());
-      for (std::size_t s = 0; s < sensors.size(); ++s)
-        degradation_scratch_[s] = sensors.measured_vth(s);
-      return sensor_wise_slot_decide(pool, degradation_scratch_, new_traffic);
-    }
+    case PolicyKind::kSensorWiseSlotMd:
+      return sensor_wise_slot_decide(*view.unit()->pool(), *vths, new_traffic);
     case PolicyKind::kRrSlot: {
       const noc::SharedBufferPool& pool = *view.unit()->pool();
       const int candidate = static_cast<int>((now / config_.rr_rotation_period) %
@@ -305,12 +258,12 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
 }
 
 void PolicyGateController::post_cycle(sim::Cycle now) {
-  const bool have_injector = injector_ != nullptr && injector_->enabled();
-  // Off-epoch, fault-free calls are strict no-ops (refresh_due is false for
-  // every port and update() is epoch-gated with no RNG), so an O(1) fence
-  // skips the O(ports) walk until the earliest due epoch. With an injector
-  // the walk runs every cycle: quarantine dwell stats accrue per cycle.
-  if (!have_injector && now < post_cycle_fence_) return;
+  // Off-epoch calls without a control-plane storm are strict no-ops
+  // (refresh_due is false for every port and update() is epoch-gated with
+  // no RNG), so an O(1) fence skips the O(ports) walk until the earliest due
+  // epoch. Under a storm the walk runs every cycle: quarantine dwell stats
+  // accrue per cycle.
+  if (!control_plan() && now < post_cycle_fence_) return;
   // Sensor refresh (epoch-gated inside the bank) from the authoritative
   // stress trackers; this is the Down_Up link update point.
   const double elapsed = network_->clock().seconds_now();
@@ -325,13 +278,9 @@ void PolicyGateController::post_cycle(sim::Cycle now) {
     if (epoch) iu.sync_stress(now + 1);
     ctx.sensors.update(now, elapsed, iu.trackers());
     fence = std::min(fence, ctx.sensors.next_refresh_cycle());
-    if (!have_injector) continue;
-    // Targeted plans confine the fault machinery (and its RNG draws) to
-    // the ports the plan names; with an empty target list that is all of
-    // them, the pre-locality behavior.
-    if (!injector_->plan().targets_port(static_cast<int>(key.router),
-                                        static_cast<int>(key.port)))
-      continue;
+    // The fault machinery (and its RNG draws) runs only on the ports the
+    // plan reaches.
+    if (!faulted(key)) continue;
     if (epoch) faulted_epoch(key, ctx);
     if (ctx.quarantined) network_->stats().add(h_quarantined_cycles_);
   }
@@ -339,17 +288,15 @@ void PolicyGateController::post_cycle(sim::Cycle now) {
 }
 
 sim::Cycle PolicyGateController::next_event_cycle(sim::Cycle now) {
-  // Fault processes advance every cycle (per-cycle stats, RNG draws), so a
-  // skip would change the fault stream: pin the horizon to `now`.
-  if (injector_ != nullptr && injector_->enabled()) return now;
+  // Control-plane fault processes advance every cycle (per-cycle stats, RNG
+  // draws), so a skip would change the fault stream: pin the horizon to
+  // `now`.
+  if (control_plan()) return now;
   // Otherwise post_cycle only acts at sensor epoch boundaries. The refresh
   // itself must be *stepped* (it reads elapsed time and draws noise RNG at
-  // exactly its due cycle), so report the earliest due cycle across ports
-  // and let the engine land on it.
-  sim::Cycle horizon = sim::kCycleNever;
-  for (const auto& [key, ctx] : ports_)
-    horizon = std::min(horizon, ctx.sensors.next_refresh_cycle());
-  return std::max(horizon, now);
+  // exactly its due cycle), so report the earliest due cycle across ports —
+  // the fence post_cycle keeps — and let the engine land on it.
+  return std::max(post_cycle_fence_, now);
 }
 
 void PolicyGateController::faulted_epoch(const noc::PortKey& key, PortContext& ctx) {

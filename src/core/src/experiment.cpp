@@ -28,6 +28,14 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
   // every pre-DAMQ snapshot — keeps its exact byte string.
   if (s.buffer_org != "partitioned")
     d += " org=" + s.buffer_org + "/" + std::to_string(s.shared_reserve);
+  // Likewise named only off their defaults: the phit shape and the
+  // sensor-age/NBTI physics.
+  const sim::Scenario defaults;
+  if (s.flit_width_bits != defaults.flit_width_bits)
+    d += " flit_bits=" + std::to_string(s.flit_width_bits);
+  if (s.link_width_bits != defaults.link_width_bits)
+    d += " link_bits=" + std::to_string(s.link_width_bits);
+  d += s.clock_and_tech_digest();
   d += " wake=" + std::to_string(s.wakeup_latency) + " stages=" + std::to_string(s.router_stages);
   d += " rate=" + std::to_string(s.injection_rate);
   d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);

@@ -117,6 +117,7 @@ std::string fleet_digest(const FleetSpec& spec) {
   if (s.router_stages != defaults.router_stages) d += " stages=" + std::to_string(s.router_stages);
   if (s.wakeup_latency != defaults.wakeup_latency)
     d += " wake=" + std::to_string(s.wakeup_latency);
+  d += s.clock_and_tech_digest();
   d += " rate=" + std::to_string(s.injection_rate);
   d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);
   d += " seeds=" + std::to_string(s.pv_seed()) + "/" + std::to_string(s.traffic_seed());

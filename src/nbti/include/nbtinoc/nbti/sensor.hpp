@@ -32,6 +32,13 @@ struct SensorConfig {
   double time_acceleration = 1.0;
 };
 
+/// Index of the highest reading in [first, first + count) of `vths` (the
+/// most degraded buffer), ties broken toward the lowest index like a
+/// fixed-priority comparator tree. The range is clamped to vths.size();
+/// throws std::out_of_range when `first` is past the end.
+std::size_t most_degraded_index(const std::vector<double>& vths, std::size_t first,
+                                std::size_t count);
+
 /// One sensor per buffer of an input port. Deterministic given its seed.
 class NbtiSensorBank {
  public:
@@ -77,6 +84,7 @@ class NbtiSensorBank {
 
   /// Last sensor reading for buffer i (quantized/noisy absolute Vth).
   double measured_vth(std::size_t i) const { return measured_vths_.at(i); }
+  const std::vector<double>& measured_vths() const { return measured_vths_; }
 
   /// Exact modeled Vth for buffer i at the given age/duty (no sensor error).
   double true_vth(std::size_t i, double elapsed_seconds, const StressTrackerBank& trackers) const;

@@ -49,14 +49,18 @@ void NbtiSensorBank::refresh(double elapsed_seconds, const StressTrackerBank& tr
   refreshed_once_ = true;
 }
 
-std::size_t NbtiSensorBank::most_degraded_in(std::size_t first, std::size_t count) const {
-  if (first >= measured_vths_.size())
-    throw std::out_of_range("NbtiSensorBank::most_degraded_in: bad range");
-  const std::size_t last = std::min(first + count, measured_vths_.size());
+std::size_t most_degraded_index(const std::vector<double>& vths, std::size_t first,
+                                std::size_t count) {
+  if (first >= vths.size()) throw std::out_of_range("most_degraded_index: bad range");
+  const std::size_t last = std::min(first + count, vths.size());
   std::size_t worst = first;
   for (std::size_t i = first + 1; i < last; ++i)
-    if (measured_vths_[i] > measured_vths_[worst]) worst = i;
+    if (vths[i] > vths[worst]) worst = i;
   return worst;
+}
+
+std::size_t NbtiSensorBank::most_degraded_in(std::size_t first, std::size_t count) const {
+  return most_degraded_index(measured_vths_, first, count);
 }
 
 void NbtiSensorBank::update(sim::Cycle now, double elapsed_seconds,

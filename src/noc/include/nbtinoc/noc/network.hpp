@@ -75,17 +75,18 @@ class Network {
   void set_gate_controller(IGateController* controller);
   IGateController& gate_controller() { return *controller_; }
 
-  /// Installs the fault injector (non-owning; nullptr to remove). Control
-  /// faults make gate commands cross their Up_Down links under a fault
-  /// hook (drop / in-range corruption) and wake handshakes may fail —
-  /// the flit/credit datapath is never touched by them. Structural faults
-  /// (plan().structural) are permanent data-plane kills: the schedule is
-  /// validated and sorted here, and each kill is applied at the start of
-  /// exactly its cycle in every scheduler mode (see apply_structural_faults).
+  /// Installs the fault injector (non-owning; nullptr to remove). On the
+  /// ports the plan reaches (sim::FaultPlan::reaches), control faults may
+  /// drop or corrupt (in range) gate commands crossing the Up_Down link and
+  /// fail wake handshakes — the flit/credit datapath is never touched by
+  /// them. Structural faults (plan().structural) are permanent data-plane
+  /// kills: the schedule is validated and sorted here, and each kill is
+  /// applied at the start of exactly its cycle in every scheduler mode (see
+  /// apply_structural_faults).
   void set_fault_injector(sim::FaultInjector* injector);
   sim::FaultInjector* fault_injector() { return injector_; }
 
-  /// Gate commands the fault hook has dropped on the Up_Down link feeding
+  /// Gate commands the fault plan has dropped on the Up_Down link feeding
   /// one router input port (throws std::invalid_argument for a port that
   /// does not exist).
   std::uint64_t up_down_dropped(NodeId router, Dir port) const;
@@ -227,9 +228,9 @@ class Network {
   /// every port/vnet/class) — shared by the full walk and the active-set
   /// scheduler.
   void gating_stage_for(NodeId id, sim::Cycle now);
-  /// The injector seen by `apply_gate_command` at this port: the installed
-  /// one if the plan targets the port (an empty target list targets all),
-  /// nullptr otherwise — untargeted ports must not draw wake-fail RNG.
+  /// The injector that acts at this port (Up_Down delivery, wake
+  /// handshake): the installed one if its plan reaches the port, nullptr
+  /// otherwise — an unreached port draws no fault RNG.
   sim::FaultInjector* injector_for(NodeId id, Dir port) const;
 
   // --- active-set scheduler ---------------------------------------------------
@@ -301,25 +302,18 @@ class Network {
   std::vector<ChannelSink> flit_sinks_;
   std::vector<ChannelSink> credit_sinks_;
   /// Up_Down command link of one input port. Commands cross it with zero
-  /// delay (the paper's zero-skew control wiring): the gating stage hands
-  /// each command straight to the port, through the fault hook when one
-  /// is installed (it may corrupt the command in flight or drop it).
+  /// delay (the paper's zero-skew control wiring), so the gating stage hands
+  /// each command straight to the port (see deliver).
   struct UpDownLink {
     bool exists = false;
-    Channel<GateCommand>::FaultHook fault;  ///< empty: exact delivery
-    std::uint64_t dropped = 0;             ///< commands the hook vetoed
-
-    /// Hands `cmd` to the port's input unit; the fault hook, if any, may
-    /// corrupt it in flight or drop it (the port then holds its state).
-    void deliver(GateCommand cmd, InputUnit& port, sim::Cycle now,
-                 sim::FaultInjector* port_injector) {
-      if (fault && !fault(cmd, now)) {
-        ++dropped;
-        return;
-      }
-      port.apply_gate_command(cmd, now, port_injector);
-    }
+    std::uint64_t dropped = 0;  ///< commands the fault plan dropped in flight
   };
+  /// Carries `cmd` across `link` to the port's input unit. With the port's
+  /// injector (`injector_for`, nullptr on unreached ports) the command may
+  /// be dropped — the port then holds its state — or corrupted within its
+  /// range on the way.
+  void deliver(UpDownLink& link, GateCommand cmd, InputUnit& port, sim::Cycle now,
+               sim::FaultInjector* injector);
   /// Indexed router * ports_per_router + port (exists == false where the
   /// input port does not exist).
   std::vector<UpDownLink> up_down_links_;

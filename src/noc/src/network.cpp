@@ -82,16 +82,16 @@ Network::Network(NocConfig config) : config_(config), controller_(&baseline_cont
   wake_heap_.reserve(static_cast<std::size_t>(n) + 4 * static_cast<std::size_t>(terminals));
   pinned_routers_.assign(static_cast<std::size_t>(n), 0);
 
-  // Up_Down command links, one per existing input port. Zero delay: the
-  // upstream pre-VA logic and the downstream header PMOS share a cycle
-  // (the paper's dedicated control wiring), but commands still cross a
-  // link, giving the fault injector a delivery point to drop or corrupt
-  // them at.
   gating_record_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(ports) *
                             static_cast<std::size_t>(config_.num_vnets) *
                             static_cast<std::size_t>(config_.vc_classes()),
                         0);
 
+  // Up_Down command links, one per existing input port. Zero delay: the
+  // upstream pre-VA logic and the downstream header PMOS share a cycle
+  // (the paper's dedicated control wiring), but commands still cross a
+  // link, giving the fault plan a delivery point to drop or corrupt them
+  // at (deliver).
   up_down_links_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(ports));
   for (NodeId id = 0; id < n; ++id)
     for (int p = 0; p < ports; ++p)
@@ -127,56 +127,6 @@ std::uint64_t Network::up_down_dropped(NodeId router, Dir port) const {
 
 void Network::set_fault_injector(sim::FaultInjector* injector) {
   injector_ = injector;
-  const int ports = config_.ports_per_router();
-  // Control-plane hooks and pins only exist for control-enabled plans: a
-  // structural-only plan must leave every Up_Down link on the zero-overhead
-  // exact-delivery path (no RNG draws, no pinned routers) — its kills are
-  // fixed-cycle events the schedulers fence on instead.
-  const bool control = injector_ != nullptr && injector_->plan().control_enabled();
-  for (NodeId id = 0; id < num_routers(); ++id) {
-    for (int p = 0; p < ports; ++p) {
-      auto& link = up_down_links_[static_cast<std::size_t>(id) * static_cast<std::size_t>(ports) +
-                                  static_cast<std::size_t>(p)];
-      if (!link.exists) continue;
-      // The storm only touches links its plan targets (an empty target list
-      // targets everything — the pre-locality behavior). Untargeted links
-      // keep the zero-overhead exact-delivery path and draw no RNG, so the
-      // active-set scheduler can go on parking their routers.
-      if (!control || !injector_->plan().targets_port(id, p)) {
-        link.fault = nullptr;
-        continue;
-      }
-      link.fault = [this](GateCommand& cmd, sim::Cycle) {
-        if (injector_->drop_gate_command()) return false;
-        int shift = 0;
-        if (cmd.slot_form) {
-          const int slots = config_.pool_slots();
-          if (injector_->flip_gate_command(slots, &shift)) {
-            // Slot-form corruption: the wake target rotates across the pool
-            // (or a spurious wake appears); the downstream apply tolerates
-            // targets in the wrong state, so corruption degrades gracefully.
-            cmd.enable = true;
-            cmd.keep_vc = cmd.keep_vc == kInvalidVc ? shift : (cmd.keep_vc + shift) % slots;
-          }
-          return true;
-        }
-        if (injector_->flip_gate_command(cmd.range_vcs, &shift)) {
-          // Corrupt the command but keep it well-formed for its vnet range:
-          // a valid keep_vc rotates within the range; a command that kept
-          // nothing awake gains a spurious enable on an arbitrary range VC.
-          const int range = cmd.range_vcs;
-          if (cmd.enable && cmd.keep_vc != kInvalidVc) {
-            cmd.keep_vc = cmd.first_vc + (cmd.keep_vc - cmd.first_vc + shift) % range;
-          } else {
-            cmd.gating_active = true;
-            cmd.enable = true;
-            cmd.keep_vc = cmd.first_vc + shift;
-          }
-        }
-        return true;
-      };
-    }
-  }
   refresh_fault_pins();
 
   // Structural kill schedule: validate, sort (cycle, router, port) so the
@@ -210,8 +160,8 @@ void Network::refresh_fault_pins() {
   for (NodeId id = 0; id < num_routers(); ++id) {
     for (int p = 0; p < ports; ++p) {
       if (!router(id).has_input(static_cast<Dir>(p))) continue;
-      if (!injector_->plan().targets_port(id, p)) continue;
-      // Every fault process at this router (link hook draws, wake-fail
+      if (!injector_->plan().reaches(id, p)) continue;
+      // Every fault process at this router (Up_Down delivery draws, wake-fail
       // draws, the controller's per-epoch sensor machinery) must run at its
       // stepped-schedule position, so the router can never park.
       pinned_routers_[static_cast<std::size_t>(id)] = 1;
@@ -222,8 +172,41 @@ void Network::refresh_fault_pins() {
 }
 
 sim::FaultInjector* Network::injector_for(NodeId id, Dir port) const {
-  if (injector_ == nullptr || !injector_->plan().control_enabled()) return nullptr;
-  return injector_->plan().targets_port(id, static_cast<int>(port)) ? injector_ : nullptr;
+  return injector_ != nullptr && injector_->plan().reaches(id, static_cast<int>(port)) ? injector_
+                                                                                       : nullptr;
+}
+
+void Network::deliver(UpDownLink& link, GateCommand cmd, InputUnit& port, sim::Cycle now,
+                      sim::FaultInjector* injector) {
+  if (injector != nullptr) {
+    if (injector->drop_gate_command()) {
+      ++link.dropped;
+      return;
+    }
+    int shift = 0;
+    if (cmd.slot_form) {
+      const int slots = config_.pool_slots();
+      if (injector->flip_gate_command(slots, &shift)) {
+        // Slot-form corruption: the wake target rotates across the pool (or
+        // a spurious wake appears); the downstream apply tolerates targets in
+        // the wrong state, so corruption degrades gracefully.
+        cmd.enable = true;
+        cmd.keep_vc = cmd.keep_vc == kInvalidVc ? shift : (cmd.keep_vc + shift) % slots;
+      }
+    } else if (injector->flip_gate_command(cmd.range_vcs, &shift)) {
+      // Corrupt the command but keep it well-formed for its vnet range: a
+      // valid keep_vc rotates within the range; a command that kept nothing
+      // awake gains a spurious enable on an arbitrary range VC.
+      if (cmd.enable && cmd.keep_vc != kInvalidVc) {
+        cmd.keep_vc = cmd.first_vc + (cmd.keep_vc - cmd.first_vc + shift) % cmd.range_vcs;
+      } else {
+        cmd.gating_active = true;
+        cmd.enable = true;
+        cmd.keep_vc = cmd.first_vc + shift;
+      }
+    }
+  }
+  port.apply_gate_command(cmd, now, injector);
 }
 
 void Network::gating_stage() {
@@ -267,7 +250,7 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
       for (int vn = 0; vn < config_.num_vnets; ++vn)
         for (int cls = 0; cls < num_classes; ++cls)
           gating_record_[gating_record_index(id, port, vn, cls)] = active;
-      link.deliver(cmd, iu, now, port_injector);
+      deliver(link, cmd, iu, now, port_injector);
       continue;
     }
     // One pre-VA decision per (virtual network, dateline class): each
@@ -290,10 +273,10 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
         cmd.first_vc = first;
         cmd.range_vcs = config_.class_num_vcs(cls);
         gating_record_[gating_record_index(id, port, vn, cls)] = cmd.gating_active ? 1 : 0;
-        // The command crosses its Up_Down link. Under fault injection the
-        // link's hook may drop it — the downstream port then simply holds
-        // state — or corrupt it in range.
-        link.deliver(cmd, iu, now, port_injector);
+        // The command crosses its Up_Down link. Where the fault plan
+        // reaches the port it may be dropped — the downstream port then
+        // simply holds state — or corrupted in range.
+        deliver(link, cmd, iu, now, port_injector);
       }
     }
   }
@@ -952,18 +935,14 @@ void Network::save_state(sim::SnapshotWriter& w) const {
   for (const auto& link : flit_channels_) link->save(w, save_flit);
   w.u64(credit_channels_.size());
   for (const auto& link : credit_channels_) link->save(w, save_credit);
-  // Each Up_Down link as the channel it models would save it: an empty
-  // in-flight list (commands never outlive their gating call) and the
-  // dropped count.
+  // Each Up_Down link's dropped count (commands never outlive their gating
+  // call, so a link holds nothing else).
   std::uint64_t up_down_count = 0;
   for (const auto& link : up_down_links_)
     if (link.exists) ++up_down_count;
   w.u64(up_down_count);
-  for (const auto& link : up_down_links_) {
-    if (!link.exists) continue;
-    w.u64(0);
-    w.u64(link.dropped);
-  }
+  for (const auto& link : up_down_links_)
+    if (link.exists) w.u64(link.dropped);
 
   for (const auto& source : sources_) {
     w.b(source != nullptr);
@@ -1022,11 +1001,8 @@ void Network::load_state(sim::SnapshotReader& r) {
   for (const auto& link : up_down_links_)
     if (link.exists) ++up_down_count;
   r.expect_u64(up_down_count, "up-down link count");
-  for (auto& link : up_down_links_) {
-    if (!link.exists) continue;
-    r.expect_u64(0, "up-down in-flight command count");
-    link.dropped = r.u64();
-  }
+  for (auto& link : up_down_links_)
+    if (link.exists) link.dropped = r.u64();
 
   for (std::size_t t = 0; t < sources_.size(); ++t) {
     const bool present = r.b();

@@ -38,6 +38,15 @@
 // injector. An all-zero plan is never installed at all (`enabled()` is
 // false), so zero-rate runs are byte-identical to runs without this
 // subsystem.
+//
+// Reach: `FaultPlan::reaches(node, port)` is the one rule that decides
+// whether the control-plane storm touches a port — its Up_Down delivery
+// (drop / flip draws), its wake handshake, its Down_Up reports and its
+// health ladder. A port is reached when some control rate is nonzero and
+// the port is targeted (an empty target list targets every port). A plan
+// that only schedules structural kills reaches no port: every port keeps
+// the fault-free decide path and the schedulers keep skipping until the
+// first kill's fixed cycle.
 
 #include <array>
 #include <cstdint>
@@ -111,15 +120,17 @@ struct FaultPlan {
   /// order is deterministic regardless of how the plan was built.
   std::vector<StructuralFault> structural;
 
-  /// True when the storm covers this (router, port) site (always true with
-  /// an empty target list).
-  bool targets_port(int node, int port) const;
-
   /// True when any *control-plane* rate is nonzero. Control faults are the
   /// probabilistic processes that pin targeted routers active; structural
   /// faults do not (they are fixed-cycle events the schedulers fence on
   /// explicitly).
   bool control_enabled() const;
+
+  /// True when the control-plane storm reaches this (router, input port):
+  /// control_enabled() and the port is targeted (an empty target list
+  /// targets every port). The one reach rule of the network and the
+  /// controller (see the file comment).
+  bool reaches(int node, int port) const;
 
   /// True when the plan schedules any structural kill.
   bool structural_enabled() const { return !structural.empty(); }
@@ -143,14 +154,13 @@ struct FaultPlan {
 /// per-site sensor fault state machines, and counts every injected event
 /// into an optional StatRegistry under "fault.*" keys. The class is
 /// noc-agnostic (plain node/port/vc ints) so it can live below the NoC in
-/// the layer stack; the noc/core layers translate their types at the hook
+/// the layer stack; the noc/core layers translate their types at the call
 /// sites.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan, std::uint64_t seed);
 
   const FaultPlan& plan() const { return plan_; }
-  bool enabled() const { return plan_.enabled(); }
 
   /// Counter sink for fault events ("fault.gate_cmd_drops", ...). Pass
   /// nullptr to detach. Counting is side-effect-only: it never changes

@@ -95,6 +95,13 @@ struct Scenario {
   /// Human-readable Table-I-style setup block.
   std::string describe() const;
 
+  /// The clock period and technology, named only where they are off their
+  /// defaults (" clock_s=..." / " tech=..."; empty at the defaults), with
+  /// every double printed in %.17g so distinct values print distinctly.
+  /// The snapshot and fleet config digests append it, so every default
+  /// digest keeps its bytes.
+  std::string clock_and_tech_digest() const;
+
   /// Canonical synthetic scenario used throughout Tables II/III.
   static Scenario synthetic(int mesh_width, int num_vcs, double injection_rate);
 };

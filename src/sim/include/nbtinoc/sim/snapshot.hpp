@@ -44,7 +44,9 @@ class SnapshotError : public std::runtime_error {
 inline constexpr std::string_view kSnapshotMagic = "NBTISNAP";
 /// Bump on any layout change; readers reject other versions outright.
 /// v2: GateCommand slot_form flag + shared-pool port state (ARCHITECTURE §15).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// v3: flit/credit channels save only their in-flight queue (no dropped
+/// counter); each Up_Down link saves only its dropped count.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Appends primitives to a growing byte buffer (little-endian).
 class SnapshotWriter {

@@ -20,17 +20,18 @@ std::string to_string(SensorFaultMode mode) {
   return "?";
 }
 
-bool FaultPlan::targets_port(int node, int port) const {
-  if (targets.empty()) return true;
-  for (const auto& [t_node, t_port] : targets)
-    if (t_node == node && t_port == port) return true;
-  return false;
-}
-
 bool FaultPlan::control_enabled() const {
   return sensor_stuck_rate > 0.0 || sensor_drift_rate > 0.0 || sensor_death_rate > 0.0 ||
          gate_cmd_drop_rate > 0.0 || gate_cmd_flip_rate > 0.0 || down_up_drop_rate > 0.0 ||
          wake_fail_rate > 0.0;
+}
+
+bool FaultPlan::reaches(int node, int port) const {
+  if (!control_enabled()) return false;
+  if (targets.empty()) return true;
+  for (const auto& [t_node, t_port] : targets)
+    if (t_node == node && t_port == port) return true;
+  return false;
 }
 
 void FaultPlan::validate() const {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "nbtinoc/core/experiment.hpp"
 
 namespace nbtinoc::core {
@@ -231,6 +234,57 @@ TEST(PolicyGateController, PostCycleRefreshesSensorsFromTrackers) {
   net.run(2);
   ctrl.post_cycle(net.clock().now());
   EXPECT_EQ(ctrl.most_degraded(key), 1);
+}
+
+/// The controller's parked-fabric horizon, recomputed the slow way: the
+/// earliest next_refresh_cycle() over every port, never before `now`.
+sim::Cycle brute_force_horizon(const noc::Network& net, const PolicyGateController& ctrl,
+                               sim::Cycle now) {
+  sim::Cycle horizon = sim::kCycleNever;
+  for (noc::NodeId id = 0; id < net.num_routers(); ++id)
+    for (int p = 0; p < net.config().ports_per_router(); ++p) {
+      const auto port = static_cast<noc::Dir>(p);
+      if (net.router(id).has_input(port))
+        horizon = std::min(horizon, ctrl.sensors({id, port}).next_refresh_cycle());
+    }
+  return std::max(horizon, now);
+}
+
+TEST(PolicyGateController, HorizonIsTheEarliestSensorEpochEveryCycle) {
+  // Without a control-plane storm the horizon is the fence post_cycle
+  // keeps; it must equal the brute-force minimum at every cycle — from
+  // construction on, across epochs, and after a mid-run restore.
+  PolicyConfig cfg;
+  cfg.kind = PolicyKind::kSensorWise;
+  cfg.sensor.epoch_cycles = 16;
+  cfg.sensor.noise_sigma_v = 0.002;
+  const nbti::NbtiModel m = model();
+  const auto expect_horizons = [](noc::Network& net, PolicyGateController& ctrl,
+                                  sim::Cycle cycles) {
+    for (sim::Cycle i = 0; i < cycles; ++i) {
+      const sim::Cycle now = net.clock().now();
+      ASSERT_EQ(ctrl.next_event_cycle(now), brute_force_horizon(net, ctrl, now)) << "cycle " << now;
+      net.step();
+    }
+  };
+
+  noc::Network net(config(3, 2));
+  PolicyGateController ctrl(net, cfg, m, {}, pv(), 5);
+  ctrl.attach();
+  expect_horizons(net, ctrl, 300);
+  sim::SnapshotWriter w;
+  net.save_state(w);
+  ctrl.save(w);
+  expect_horizons(net, ctrl, 50);
+
+  noc::Network restored_net(config(3, 2));
+  PolicyGateController restored(restored_net, cfg, m, {}, pv(), 5);
+  restored.attach();
+  const std::string bytes = w.take();
+  sim::SnapshotReader r(bytes);
+  restored_net.load_state(r);
+  restored.load(r);
+  expect_horizons(restored_net, restored, 300);
 }
 
 }  // namespace

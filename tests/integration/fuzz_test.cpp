@@ -438,7 +438,7 @@ INSTANTIATE_TEST_SUITE_P(RandomSharedConfigs, SharedPoolFastForwardFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 // Fault storm on the shared organization: transient faults land on pool
-// slots (the slot-form modulus of the fault hook), so every drop and flip
+// slots (the slot-form modulus of Up_Down delivery), so every drop and flip
 // must match across schedulers, and a stepped re-run under the
 // InvariantChecker must prove slot conservation and the M* credit bound
 // held through the whole storm.

@@ -12,6 +12,7 @@
 
 #include "nbtinoc/core/controller.hpp"
 #include "nbtinoc/core/experiment.hpp"
+#include "nbtinoc/core/fleet.hpp"
 #include "nbtinoc/noc/state_probe.hpp"
 #include "nbtinoc/sim/snapshot.hpp"
 #include "nbtinoc/traffic/synthetic.hpp"
@@ -347,6 +348,65 @@ TEST(ResumeValidation, WrongVersionAndGarbageAreRejected) {
   options.resume_from = bytes.substr(0, bytes.size() / 2);  // truncated payload
   EXPECT_THROW(run_experiment(s, PolicyKind::kSensorWise, Workload::synthetic(), options),
                sim::SnapshotError);
+}
+
+// Both config digests — the snapshot frame's (resume_from) and the
+// fleet's (merge_fleet_shards) — must name every Scenario field that shapes
+// a run. Each case changes one field alone and both consumers must refuse
+// the mismatch; the sub-1e-6 clock step would collide under
+// std::to_string's six decimals. The defaults name none of these fields, so
+// default digests keep their bytes.
+TEST(ResumeValidation, DigestsNameClockTechAndPhitShape) {
+  struct Change {
+    const char* field;
+    void (*apply)(sim::Scenario&);
+  };
+  const Change changes[] = {
+      {"clock_period_s", [](sim::Scenario& s) { s.clock_period_s = 2e-9; }},
+      {"clock_period_s, sub-1e-6 step", [](sim::Scenario& s) { s.clock_period_s = 1.0000001e-9; }},
+      {"tech node", [](sim::Scenario& s) { s.tech = sim::Technology::node_32nm(); }},
+      {"tech temperature", [](sim::Scenario& s) { s.tech.temperature_k = 360.0; }},
+      {"flit_width_bits", [](sim::Scenario& s) { s.flit_width_bits = 32; }},
+      {"link_width_bits", [](sim::Scenario& s) { s.link_width_bits = 64; }},
+  };
+  const sim::Scenario base = small_scenario();
+  const std::string bytes = snapshot_of(base, RunnerOptions{}, 1'000);
+
+  FleetSpec fleet;
+  fleet.scenario = base;
+  fleet.scenario.warmup_cycles = 200;
+  fleet.scenario.measure_cycles = 800;
+  fleet.policies = {PolicyKind::kSensorWise};
+  fleet.chips = 2;
+  const FleetShardResult base_shard = run_fleet_shard(fleet, 0, 2, 1);
+
+  for (const char* tag : {" clock_s=", " tech=", " flit_bits=", " link_bits="}) {
+    EXPECT_EQ(bytes.find(tag), std::string::npos) << tag;
+    EXPECT_EQ(fleet_digest(fleet).find(tag), std::string::npos) << tag;
+  }
+  for (const Change& c : changes) {
+    SCOPED_TRACE(c.field);
+    sim::Scenario changed = base;
+    c.apply(changed);
+    RunnerOptions options;
+    options.resume_from = bytes;
+    try {
+      run_experiment(changed, PolicyKind::kSensorWise, Workload::synthetic(), options);
+      ADD_FAILURE() << "resumed a snapshot under a different " << c.field;
+    } catch (const sim::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("file digest"), std::string::npos) << e.what();
+    }
+
+    FleetSpec other = fleet;
+    c.apply(other.scenario);
+    try {
+      merge_fleet_shards(fleet, {base_shard, run_fleet_shard(other, 1, 2, 1)});
+      ADD_FAILURE() << "merged a shard with a different " << c.field;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("different fleet configuration"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ResumeValidation, BadRunnerOptionCombinationsAreRejected) {

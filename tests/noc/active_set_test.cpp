@@ -17,12 +17,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "nbtinoc/core/controller.hpp"
 #include "nbtinoc/noc/network.hpp"
+#include "nbtinoc/noc/state_probe.hpp"
 #include "nbtinoc/sim/active_set.hpp"
 #include "nbtinoc/sim/fault_plan.hpp"
 #include "nbtinoc/traffic/request_reply.hpp"
@@ -152,8 +154,10 @@ Fingerprint counter_fingerprint(const Network& net) {
 }
 
 /// Drives both twins one cycle at a time, asserting per-cycle equality and
-/// the did-work attribution oracle on the active twin.
-void run_lockstep(Twin& stepped, Twin& active, sim::Cycle cycles, const std::string& label) {
+/// the did-work attribution oracle on the active twin. `after_step`, when
+/// given, runs once per cycle after both twins stepped (invariant checks).
+void run_lockstep(Twin& stepped, Twin& active, sim::Cycle cycles, const std::string& label,
+                  const std::function<void()>& after_step = {}) {
   const int routers = stepped.net.num_routers();
   const int nodes = stepped.net.nodes();
   // The attribution oracle reads the scheduler's stepped/active sets, which
@@ -170,6 +174,7 @@ void run_lockstep(Twin& stepped, Twin& active, sim::Cycle cycles, const std::str
 
     stepped.net.step();
     active.net.step();
+    if (after_step) after_step();
 
     for (NodeId id = 0; id < routers; ++id) {
       router_fingerprint(active.net, id, fp_a);
@@ -241,6 +246,13 @@ TEST(ActiveSetOracle, AllGatedFixedPointParksTheWholeFabric) {
   EXPECT_EQ(stepped_duty, active.net.duty_cycles_percent(2, Dir::West));
 }
 
+/// Installs `injector` on both halves of a twin, as run_experiment does.
+void install_faults(Twin& twin, sim::FaultInjector& injector) {
+  injector.bind_stats(&twin.net.stats());
+  twin.net.set_fault_injector(&injector);
+  twin.ctrl.set_fault_injector(&injector);
+}
+
 TEST(ActiveSetOracle, FaultStormMatchesStepped) {
   // An untargeted (fabric-wide) fault plan pins every router: the schedule
   // literally degenerates to stepped execution, and every fault RNG draw
@@ -252,12 +264,8 @@ TEST(ActiveSetOracle, FaultStormMatchesStepped) {
   Twin active(s);
   sim::FaultInjector inj_s(sim::FaultPlan::uniform(0.02), 77);
   sim::FaultInjector inj_a(sim::FaultPlan::uniform(0.02), 77);
-  inj_s.bind_stats(&stepped.net.stats());
-  inj_a.bind_stats(&active.net.stats());
-  stepped.net.set_fault_injector(&inj_s);
-  stepped.ctrl.set_fault_injector(&inj_s);
-  active.net.set_fault_injector(&inj_a);
-  active.ctrl.set_fault_injector(&inj_a);
+  install_faults(stepped, inj_s);
+  install_faults(active, inj_a);
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
   run_lockstep(stepped, active, s.cycles, "fault-storm");
   // Degenerate schedule: every router stepped every cycle.
@@ -278,12 +286,8 @@ TEST(ActiveSetOracle, TargetedFaultPinsOnlyTheFaultyRouter) {
   Twin active(s);
   sim::FaultInjector inj_s(plan, 123);
   sim::FaultInjector inj_a(plan, 123);
-  inj_s.bind_stats(&stepped.net.stats());
-  inj_a.bind_stats(&active.net.stats());
-  stepped.net.set_fault_injector(&inj_s);
-  stepped.ctrl.set_fault_injector(&inj_s);
-  active.net.set_fault_injector(&inj_a);
-  active.ctrl.set_fault_injector(&inj_a);
+  install_faults(stepped, inj_s);
+  install_faults(active, inj_a);
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
   EXPECT_TRUE(active.net.router_active(4));
   run_lockstep(stepped, active, s.cycles, "targeted-fault");
@@ -292,6 +296,74 @@ TEST(ActiveSetOracle, TargetedFaultPinsOnlyTheFaultyRouter) {
   // whole-fabric stepping, far above zero.
   EXPECT_GE(st.router_steps, s.cycles);
   EXPECT_LT(st.router_steps, s.cycles * 3);
+}
+
+TEST(ActiveSetOracle, StructuralOnlyPlanKeepsTheFaultFreeSchedule) {
+  // A plan that only schedules kills reaches no port's control plane
+  // (FaultPlan::reaches): until its kill cycle the run must take the
+  // fault-free path — same decisions, same parking, same jumps. Here the
+  // only kill lands after the run ends, so even the skipped-cycle count
+  // must equal the fault-free run's.
+  ScenarioSpec s;
+  s.width = 4;
+  s.rate = 0.005;
+  s.cycles = 20'000;
+  sim::FaultPlan plan;
+  plan.structural.push_back(
+      {/*cycle=*/s.cycles + 1'000, /*router=*/5, static_cast<int>(Dir::East)});
+
+  Twin clean(s);
+  clean.net.set_scheduler_mode(SchedulerMode::kActiveSet);
+  clean.net.run(s.cycles);
+  Twin faulted(s);
+  sim::FaultInjector injector(plan, 7);
+  install_faults(faulted, injector);
+  faulted.net.set_scheduler_mode(SchedulerMode::kActiveSet);
+  faulted.net.run(s.cycles);
+
+  EXPECT_GT(clean.net.skip_stats().cycles_skipped, 0u);
+  EXPECT_EQ(faulted.net.skip_stats().cycles_skipped, clean.net.skip_stats().cycles_skipped);
+  EXPECT_EQ(faulted.net.scheduler_stats().router_steps, clean.net.scheduler_stats().router_steps);
+  for (NodeId id = 0; id < clean.net.num_routers(); ++id)
+    for (int p = 0; p < clean.net.config().ports_per_router(); ++p) {
+      const Dir port = static_cast<Dir>(p);
+      if (!clean.net.router(id).has_input(port)) continue;
+      EXPECT_EQ(faulted.net.duty_cycles_percent(id, port), clean.net.duty_cycles_percent(id, port))
+          << "router " << id << " port " << p;
+    }
+}
+
+TEST(ActiveSetOracle, StructuralOnlyKillMatchesSteppedMidRun) {
+  // The same kind of plan with the kill mid-run: stepped and active-set
+  // twins stay bit-identical through the drain, with the invariant checker
+  // auditing both every cycle.
+  ScenarioSpec s;
+  s.width = 4;
+  s.rate = 0.05;
+  s.cycles = 6'000;
+  sim::FaultPlan plan;
+  plan.structural.push_back({/*cycle=*/3'000, /*router=*/5, static_cast<int>(Dir::East)});
+  Twin stepped(s);
+  Twin active(s);
+  sim::FaultInjector inj_s(plan, 7);
+  sim::FaultInjector inj_a(plan, 7);
+  install_faults(stepped, inj_s);
+  install_faults(active, inj_a);
+  active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
+  InvariantChecker check_s(stepped.net);
+  InvariantChecker check_a(active.net);
+  run_lockstep(stepped, active, s.cycles, "structural-only", [&] {
+    check_s.check();
+    check_a.check();
+  });
+  EXPECT_TRUE(check_s.clean()) << check_s.violations().front().what;
+  EXPECT_TRUE(check_a.clean()) << check_a.violations().front().what;
+  EXPECT_EQ(active.net.stats().counter("fault.link_kills"), 1u);
+  EXPECT_EQ(active.net.dropped_flits(), stepped.net.dropped_flits());
+  // No control process runs, so nothing pins a router: the quiet part of
+  // the fabric keeps parking.
+  EXPECT_LT(active.net.scheduler_stats().router_steps,
+            s.cycles * static_cast<std::uint64_t>(active.net.num_routers()));
 }
 
 TEST(ActiveSetOracle, ReplyBoardWakesParkedServers) {
