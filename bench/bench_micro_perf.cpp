@@ -32,9 +32,12 @@ void BM_NetworkStep_Idle(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkStep_Idle)->Arg(2)->Arg(4)->Arg(8);
 
+// The loaded step benchmarks offer 0.2, below saturation: the network's
+// state stays statistically steady however many iterations run, so the
+// time per step does not depend on google-benchmark's iteration count.
 void BM_NetworkStep_Loaded(benchmark::State& state) {
   noc::Network net(mesh_config(static_cast<int>(state.range(0)), 4));
-  traffic::install_uniform_traffic(net, 0.4, 42);
+  traffic::install_uniform_traffic(net, 0.2, 42);
   net.run(5000);  // reach steady state
   for (auto _ : state) net.step();
   state.SetItemsProcessed(state.iterations());
@@ -48,7 +51,7 @@ void BM_NetworkStep_SensorWise(benchmark::State& state) {
   pc.kind = core::PolicyKind::kSensorWise;
   core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
   ctrl.attach();
-  traffic::install_uniform_traffic(net, 0.4, 42);
+  traffic::install_uniform_traffic(net, 0.2, 42);
   net.run(5000);
   for (auto _ : state) net.step();
   state.SetItemsProcessed(state.iterations());
@@ -332,6 +335,43 @@ void BM_LifetimeHierarchical(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * opt.epochs);
 }
 BENCHMARK(BM_LifetimeHierarchical)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Fleet pair: the same 16-chip, short-window 4x4 fleet under a sensor-less
+// policy (BM_FleetSensorless: one shared cycle-accurate run, reduced per
+// chip) and under sensor-wise (BM_FleetSensorWise: one run per chip), on
+// one worker. check_perf_regression.py gates the same-machine ratio via
+// BENCH_fleet.json; if the sensor-less group went back to one run per
+// chip, the pair would collapse toward 1x. Exactness is pinned separately
+// by fleet_test against a per-chip oracle.
+core::FleetSpec bench_fleet(core::PolicyKind policy) {
+  core::FleetSpec spec;
+  spec.scenario = sim::Scenario::synthetic(4, 4, 0.2);
+  spec.scenario.warmup_cycles = 1'000;
+  spec.scenario.measure_cycles = 5'000;
+  spec.policies = {policy};
+  spec.chips = 16;
+  return spec;
+}
+
+void BM_FleetSensorless(benchmark::State& state) {
+  const core::FleetSpec spec = bench_fleet(core::PolicyKind::kBaseline);
+  for (auto _ : state) {
+    const core::FleetReport report = core::run_fleet(spec, 1);
+    benchmark::DoNotOptimize(report.groups().data());
+  }
+  state.SetItemsProcessed(state.iterations() * spec.chips);
+}
+BENCHMARK(BM_FleetSensorless)->Unit(benchmark::kMillisecond);
+
+void BM_FleetSensorWise(benchmark::State& state) {
+  const core::FleetSpec spec = bench_fleet(core::PolicyKind::kSensorWise);
+  for (auto _ : state) {
+    const core::FleetReport report = core::run_fleet(spec, 1);
+    benchmark::DoNotOptimize(report.groups().data());
+  }
+  state.SetItemsProcessed(state.iterations() * spec.chips);
+}
+BENCHMARK(BM_FleetSensorWise)->Unit(benchmark::kMillisecond);
 
 // Trace-replay engine pair: the legacy CSV/in-memory path (parse the CSV,
 // copy every node's slice into its own vector) vs the NBTITRACE mmap'd

@@ -12,6 +12,13 @@
 // the paper-level question "when has 1% of this chip's VC buffers drifted
 // out of spec?".
 //
+// A chip's silicon reaches a run only through its sensors. So a policy that
+// reads none (baseline, rr-no-sensor, rr-slot; see reads_sensors) gives
+// every chip of a (policy, workload) group the same duty cycles, and a
+// shard simulates such a group once and reduces it per chip with each
+// chip's own Vth. A sensor-reading policy still runs once per chip. The
+// results are exactly those of one run per chip.
+//
 // Determinism contract (pinned by fleet_test): every point's seeds derive
 // from {scenario, chip index} alone, points execute through SweepRunner,
 // and reports reduce in point order — so the merged JSON/CSV is
@@ -73,6 +80,10 @@ struct FleetShardResult {
   int shard_index = 0;
   int shard_count = 1;
   std::vector<FleetPointOutcome> outcomes;  ///< ascending global index
+  /// Cycle-accurate runs the shard made: one per sensor-less (policy,
+  /// workload) group with points in it, plus one per sensor-reading point.
+  /// Not part of the partial (a parsed shard reads 0).
+  std::size_t simulated_runs = 0;
 };
 
 /// Canonical textual encoding of everything that determines fleet results;

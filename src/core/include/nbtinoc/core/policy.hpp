@@ -53,6 +53,26 @@ enum class PolicyKind {
 std::string to_string(PolicyKind kind);
 PolicyKind parse_policy(const std::string& name);
 
+/// True for the policies whose decisions read the downstream sensor bank:
+/// the sensor-wise family and sensor-rank. baseline, rr-no-sensor and
+/// rr-slot never read a sensor, so a chip's silicon cannot reach their
+/// gating — which is what lets a fleet run them once per (policy,
+/// workload) group instead of once per chip.
+constexpr bool reads_sensors(PolicyKind kind) {
+  switch (kind) {
+    case PolicyKind::kSensorWiseNoTraffic:
+    case PolicyKind::kSensorWise:
+    case PolicyKind::kSensorRank:
+    case PolicyKind::kSensorWiseSlotMd:
+      return true;
+    case PolicyKind::kBaseline:
+    case PolicyKind::kRrNoSensor:
+    case PolicyKind::kRrSlot:
+      return false;
+  }
+  return false;
+}
+
 /// Algorithm 1 — the round-robin sensor-less pre-VA stage. `candidate` is
 /// the time-rotated active-candidate VC identifier.
 noc::GateCommand rr_no_sensor_decide(const noc::OutVcStateView& view, int candidate,

@@ -8,7 +8,8 @@
 // result grid is bit-identical for any worker count — a pool of size 1
 // produces exactly the serial path's bytes.
 //
-// Results come back in *grid order* (the order points were added), each
+// Workers claim points longest-first (simulated cycles × routers), but
+// results come back in *grid order* (the order points were added), each
 // with its own wall-clock time, and export to JSON/CSV mirroring
 // core::to_json for downstream plotting.
 
@@ -47,7 +48,7 @@ struct SweepPointResult {
 
 /// Progress snapshot handed to the callback after each point completes.
 /// Callbacks are serialized (never concurrent) but arrive in *completion*
-/// order, which under >1 worker is not grid order.
+/// order, which is not grid order: points are claimed longest-first.
 struct SweepProgress {
   std::size_t completed = 0;     ///< points finished so far
   std::size_t total = 0;         ///< grid size
@@ -138,8 +139,9 @@ class SweepRunner {
   /// after all workers finish.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) const;
 
-  /// Executes every added point and returns the grid-ordered results.
-  /// May be called repeatedly (e.g. to re-run the same grid).
+  /// Executes every added point, claiming the longest first, and returns
+  /// the grid-ordered results. May be called repeatedly (e.g. to re-run
+  /// the same grid).
   SweepResult run() const;
 
  private:

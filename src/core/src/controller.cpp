@@ -214,8 +214,7 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
   // keep gating, stop trusting.
   PolicyKind kind = config_.kind;
   const std::vector<double>* vths = nullptr;
-  if (kind == PolicyKind::kSensorWiseNoTraffic || kind == PolicyKind::kSensorWise ||
-      kind == PolicyKind::kSensorRank || kind == PolicyKind::kSensorWiseSlotMd) {
+  if (reads_sensors(kind)) {
     const PortContext& ctx = context(key);
     const bool reached = faulted(key);
     vths = reached ? &ctx.effective_vths : &ctx.sensors.measured_vths();

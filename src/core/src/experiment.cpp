@@ -7,6 +7,7 @@
 #include "nbtinoc/sim/snapshot.hpp"
 #include "nbtinoc/traffic/synthetic.hpp"
 #include "nbtinoc/util/json.hpp"
+#include "nbtinoc/util/strings.hpp"
 
 namespace nbtinoc::core {
 
@@ -37,7 +38,7 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
     d += " link_bits=" + std::to_string(s.link_width_bits);
   d += s.clock_and_tech_digest();
   d += " wake=" + std::to_string(s.wakeup_latency) + " stages=" + std::to_string(s.router_stages);
-  d += " rate=" + std::to_string(s.injection_rate);
+  d += " rate=" + util::digest_double(s.injection_rate);
   d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);
   d += " seeds=" + std::to_string(s.pv_seed()) + "/" + std::to_string(s.traffic_seed()) + "/" +
        std::to_string(s.fault_seed());
@@ -64,9 +65,7 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
       break;
   }
   d += " salt=" + std::to_string(workload.seed_salt);
-  if (options.faults.enabled())
-    d += " faults=" + std::to_string(options.faults.seed_salt) + "/" +
-         std::to_string(options.faults.structural.size());
+  if (options.faults.enabled()) d += " faults=" + options.faults.digest();
   if (!options.initial_vths.empty())
     d += " explicit_vths=" + std::to_string(options.initial_vths.size());
   return d;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 
 #include "nbtinoc/core/sweep.hpp"
@@ -118,13 +119,13 @@ std::string fleet_digest(const FleetSpec& spec) {
   if (s.wakeup_latency != defaults.wakeup_latency)
     d += " wake=" + std::to_string(s.wakeup_latency);
   d += s.clock_and_tech_digest();
-  d += " rate=" + std::to_string(s.injection_rate);
+  d += " rate=" + util::digest_double(s.injection_rate);
   d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);
   d += " seeds=" + std::to_string(s.pv_seed()) + "/" + std::to_string(s.traffic_seed());
   d += " chips=" + std::to_string(spec.chips);
-  d += " budget=" + std::to_string(spec.dvth_budget_v);
-  d += " fraction=" + std::to_string(spec.failure_fraction);
-  d += " max_years=" + std::to_string(spec.max_years);
+  d += " budget=" + util::digest_double(spec.dvth_budget_v);
+  d += " fraction=" + util::digest_double(spec.failure_fraction);
+  d += " max_years=" + util::digest_double(spec.max_years);
   d += " policies=";
   for (std::size_t i = 0; i < spec.policies.size(); ++i) {
     if (i > 0) d.push_back(',');
@@ -139,6 +140,8 @@ std::string fleet_digest(const FleetSpec& spec) {
   }
   d += " rr=" + std::to_string(spec.runner.policy.rr_rotation_period) +
        " hold=" + std::to_string(spec.runner.policy.decision_period);
+  // Named only when a plan is set, so fault-free digests keep their bytes.
+  if (spec.runner.faults.enabled()) d += " faults=" + spec.runner.faults.digest();
   return d;
 }
 
@@ -155,36 +158,57 @@ FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int sha
 
   // Each chip's silicon is sampled on the network the scenario builds, so
   // every topology and buffer organization gets one Vth per existing port
-  // and gateable buffer.
+  // and gateable buffer — once per shard, however many groups visit it.
   const noc::NocConfig net_config = noc_config_of(spec.scenario);
   const nbti::PvConfig pv = pv_config_of(spec.scenario);
+  using Silicon = std::map<noc::PortKey, std::vector<double>>;
+  std::vector<Silicon> silicon(chips);
+
+  // A sensor-less (policy, workload) group never reads its chip's silicon,
+  // so every chip of the group has the same duty cycles: the group runs
+  // once, on the silicon of its lowest chip in this shard, and each chip
+  // reduces that run with its own Vth. A sensor-reading policy runs every
+  // chip on its own silicon.
+  constexpr std::size_t kNoRun = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> group_run(spec.policies.size() * workload_count, kNoRun);
+  std::vector<std::size_t> shard_points;  // global indices, ascending
+  std::vector<std::size_t> run_of_point;  // shard point -> sweep index
 
   SweepOptions sweep_options;
   sweep_options.workers = workers;
   SweepRunner sweep(sweep_options);
-  std::vector<std::size_t> global_of_point;  // sweep index -> global index
   for (std::size_t index = static_cast<std::size_t>(shard_index); index < total;
        index += static_cast<std::size_t>(shard_count)) {
     const std::size_t chip = index % chips;
-    const std::size_t workload_index = (index / chips) % workload_count;
-    const std::size_t policy_index = index / chips / workload_count;
+    const std::size_t group = index / chips;  // policy-major, then workload
+    const std::size_t workload_index = group % workload_count;
+    const std::size_t policy_index = group / workload_count;
+    if (silicon[chip].empty())
+      silicon[chip] = sample_network_vths(net_config, pv,
+                                          fleet_chip_seed(spec.scenario, static_cast<int>(chip)));
 
-    SweepPoint point;
-    point.scenario = spec.scenario;
-    point.policy = spec.policies[policy_index];
-    point.workload = spec.workloads[workload_index].workload;
-    point.label = "chip" + std::to_string(chip);
-    RunnerOptions ropt = spec.runner;
-    ropt.initial_vths = sample_network_vths(
-        net_config, pv, fleet_chip_seed(spec.scenario, static_cast<int>(chip)));
-    point.runner = std::move(ropt);
-    sweep.add(std::move(point));
-    global_of_point.push_back(index);
+    const bool shared = !reads_sensors(spec.policies[policy_index]);
+    if (!shared || group_run[group] == kNoRun) {
+      SweepPoint point;
+      point.scenario = spec.scenario;
+      point.policy = spec.policies[policy_index];
+      point.workload = spec.workloads[workload_index].workload;
+      point.label = "chip" + std::to_string(chip);
+      RunnerOptions ropt = spec.runner;
+      ropt.initial_vths = silicon[chip];
+      point.runner = std::move(ropt);
+      const std::size_t run = sweep.add(std::move(point));
+      if (shared) group_run[group] = run;
+    }
+    shard_points.push_back(index);
+    run_of_point.push_back(shared ? group_run[group] : sweep.size() - 1);
   }
   const SweepResult runs = sweep.run();
 
-  // Reduce each run to its chip failure time: per-VC lifetimes from the
-  // closed-form model, then the failure_fraction order statistic.
+  // Reduce each point to its chip failure time: per-VC lifetimes from the
+  // closed-form model, then the failure_fraction order statistic. The Vth
+  // comes from the chip's own silicon, never from the run, which for a
+  // shared group carries another chip's.
   const nbti::NbtiModel model = calibrated_model_of(spec.scenario, spec.runner.nbti);
   const nbti::AgingForecaster forecaster(model, operating_point_of(spec.scenario));
 
@@ -193,14 +217,23 @@ FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int sha
   shard.total_points = total;
   shard.shard_index = shard_index;
   shard.shard_count = shard_count;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& run = runs[i].result;
-    std::vector<double> lifetimes;
+  shard.simulated_runs = runs.size();
+  std::vector<double> lifetimes;
+  for (std::size_t i = 0; i < shard_points.size(); ++i) {
+    FleetPointOutcome outcome;
+    outcome.index = shard_points[i];
+    outcome.chip = static_cast<int>(outcome.index % chips);
+    outcome.workload_index = (outcome.index / chips) % workload_count;
+    outcome.policy_index = outcome.index / chips / workload_count;
+    const Silicon& chip_vths = silicon[static_cast<std::size_t>(outcome.chip)];
+
+    lifetimes.clear();
     double worst_duty = 0.0;
-    for (const auto& [key, port] : run.ports) {
+    for (const auto& [key, port] : runs[run_of_point[i]].result.ports) {
+      const std::vector<double>& vths = chip_vths.at(key);
       for (std::size_t v = 0; v < port.duty_percent.size(); ++v) {
         nbti::BufferAgingInput input;
-        input.initial_vth_v = port.initial_vth_v[v];
+        input.initial_vth_v = vths.at(v);
         input.alpha = port.duty_percent[v] / 100.0;
         lifetimes.push_back(
             forecaster.lifetime_years(input, spec.dvth_budget_v, spec.max_years));
@@ -210,14 +243,7 @@ FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int sha
     std::sort(lifetimes.begin(), lifetimes.end());
     const auto over = static_cast<std::size_t>(
         std::ceil(spec.failure_fraction * static_cast<double>(lifetimes.size())));
-    const std::size_t kth = std::max<std::size_t>(over, 1) - 1;
-
-    FleetPointOutcome outcome;
-    outcome.index = global_of_point[i];
-    outcome.chip = static_cast<int>(outcome.index % chips);
-    outcome.workload_index = (outcome.index / chips) % workload_count;
-    outcome.policy_index = outcome.index / chips / workload_count;
-    outcome.failure_years = lifetimes[kth];
+    outcome.failure_years = lifetimes[std::max<std::size_t>(over, 1) - 1];
     outcome.worst_duty_percent = worst_duty;
     shard.outcomes.push_back(outcome);
   }

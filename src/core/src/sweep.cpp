@@ -1,10 +1,12 @@
 #include "nbtinoc/core/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -176,9 +178,26 @@ SweepResult SweepRunner::run() const {
   // workers may claim indices in any order: the write goes to the point's
   // own grid slot and carries no cross-point state. At one worker this is
   // byte-identical to calling run_experiment in a loop.
+  //
+  // Workers claim the longest points first, so the slowest cells of a grid
+  // never start last and leave the other workers idle. The estimate is
+  // simulated cycles × routers; equal estimates keep grid order.
+  std::vector<double> cost(points_.size());
+  for (std::size_t i = 0; i < points_.size(); ++i) {
+    sim::Scenario s = points_[i].scenario;
+    if ((points_[i].runner ? *points_[i].runner : options_.runner).paper_scale)
+      s.use_paper_scale();
+    cost[i] = static_cast<double>(s.warmup_cycles + s.measure_cycles) * s.cores();
+  }
+  std::vector<std::size_t> order(points_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
+
   std::mutex progress_mutex;
   std::size_t completed = 0;
-  parallel_for(points_.size(), options_.workers, [&](std::size_t i) {
+  parallel_for(order.size(), options_.workers, [&](std::size_t claim) {
+    const std::size_t i = order[claim];
     const auto point_start = std::chrono::steady_clock::now();
     SweepPointResult& slot = results[i];
     slot.point = points_[i];

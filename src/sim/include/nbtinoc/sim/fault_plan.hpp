@@ -146,6 +146,13 @@ struct FaultPlan {
   /// One-line human-readable summary of the nonzero rates.
   std::string describe() const;
 
+  /// Canonical text of everything the plan decides (no spaces): the salt,
+  /// every rate and voltage spelled exactly ("%.17g"), the targets in
+  /// order and the structural kills sorted by (cycle, router, port). Two
+  /// plans with equal digests inject the same faults; run and fleet
+  /// digests embed it.
+  std::string digest() const;
+
   /// Uniform rate across every fault class — the bench sweep knob.
   static FaultPlan uniform(double rate, std::uint64_t seed_salt = 0);
 };

@@ -1,8 +1,12 @@
 #include "nbtinoc/sim/fault_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+
+#include "nbtinoc/util/strings.hpp"
 
 namespace nbtinoc::sim {
 
@@ -65,6 +69,42 @@ void FaultPlan::validate() const {
           "FaultPlan: structural fault cycle must be >= 1 (cycle 0 is construction time; "
           "schedule the kill at the first simulated cycle instead)");
   }
+}
+
+std::string FaultPlan::digest() const {
+  std::string d = "salt=" + std::to_string(seed_salt);
+  const auto field = [&d](const char* name, double v) {
+    d += ',';
+    d += name;
+    d += '=';
+    d += util::exact_double(v);
+  };
+  field("stuck", sensor_stuck_rate);
+  field("drift", sensor_drift_rate);
+  field("death", sensor_death_rate);
+  field("repair", sensor_repair_rate);
+  field("drift_step_v", drift_step_v);
+  field("dead_v", dead_reading_v);
+  field("cmd_drop", gate_cmd_drop_rate);
+  field("cmd_flip", gate_cmd_flip_rate);
+  field("report_drop", down_up_drop_rate);
+  field("wake_fail", wake_fail_rate);
+  d += ",targets=";
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (i > 0) d += ';';
+    d += std::to_string(targets[i].first) + ':' + std::to_string(targets[i].second);
+  }
+  std::vector<StructuralFault> kills = structural;
+  std::sort(kills.begin(), kills.end(), [](const StructuralFault& a, const StructuralFault& b) {
+    return std::tie(a.cycle, a.router, a.port) < std::tie(b.cycle, b.router, b.port);
+  });
+  d += ",kills=";
+  for (std::size_t i = 0; i < kills.size(); ++i) {
+    if (i > 0) d += ';';
+    d += std::to_string(kills[i].cycle) + '@' + std::to_string(kills[i].router) + ':' +
+         std::to_string(kills[i].port);
+  }
+  return d;
 }
 
 std::string FaultPlan::describe() const {

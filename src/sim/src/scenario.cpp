@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "nbtinoc/util/rng.hpp"
+#include "nbtinoc/util/strings.hpp"
 
 namespace nbtinoc::sim {
 
@@ -147,20 +148,17 @@ void Scenario::use_paper_scale() {
 }
 
 std::string Scenario::clock_and_tech_digest() const {
-  const auto exact = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
+  using util::exact_double;
   const Scenario defaults;
   std::string d;
-  if (clock_period_s != defaults.clock_period_s) d += " clock_s=" + exact(clock_period_s);
+  if (clock_period_s != defaults.clock_period_s) d += " clock_s=" + exact_double(clock_period_s);
   const Technology& t = tech;
   const Technology& t0 = defaults.tech;
   if (t.node_nm != t0.node_nm || t.vth_nominal_v != t0.vth_nominal_v ||
       t.vth_sigma_v != t0.vth_sigma_v || t.vdd_v != t0.vdd_v || t.temperature_k != t0.temperature_k)
-    d += " tech=" + std::to_string(t.node_nm) + "nm/" + exact(t.vth_nominal_v) + "/" +
-         exact(t.vth_sigma_v) + "/" + exact(t.vdd_v) + "/" + exact(t.temperature_k);
+    d += " tech=" + std::to_string(t.node_nm) + "nm/" + exact_double(t.vth_nominal_v) + "/" +
+         exact_double(t.vth_sigma_v) + "/" + exact_double(t.vdd_v) + "/" +
+         exact_double(t.temperature_k);
   return d;
 }
 

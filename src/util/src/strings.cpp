@@ -1,6 +1,8 @@
 #include "nbtinoc/util/strings.hpp"
 
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 
 namespace nbtinoc::util {
 
@@ -44,6 +46,22 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
     if (i + 1 < parts.size()) out += sep;
   }
   return out;
+}
+
+std::string exact_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string digest_double(double v) {
+  std::string text = std::to_string(v);
+  if (std::strtod(text.c_str(), nullptr) != v) {
+    text += '[';
+    text += exact_double(v);
+    text += ']';
+  }
+  return text;
 }
 
 }  // namespace nbtinoc::util

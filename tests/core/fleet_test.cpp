@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
+
+#include "nbtinoc/core/controller.hpp"
 
 namespace nbtinoc::core {
 namespace {
@@ -186,6 +190,123 @@ TEST(Fleet, GroupStatisticsAreOrderedAndBounded) {
   EXPECT_GE(report.groups()[1].median_years, report.groups()[0].median_years);
 }
 
+// The per-chip oracle: one run_experiment per fleet point on that chip's
+// own silicon, reduced exactly as the fleet reduces — what run_fleet_shard
+// computed before sensor-less groups shared a run.
+FleetShardResult per_chip_shard(const FleetSpec& spec, int shard_index, int shard_count) {
+  const std::size_t chips = static_cast<std::size_t>(spec.chips);
+  const std::size_t workload_count = spec.workloads.size();
+  const nbti::NbtiModel model = calibrated_model_of(spec.scenario, spec.runner.nbti);
+  const nbti::AgingForecaster forecaster(model, operating_point_of(spec.scenario));
+  FleetShardResult shard;
+  shard.digest = fleet_digest(spec);
+  shard.total_points = spec.total_points();
+  shard.shard_index = shard_index;
+  shard.shard_count = shard_count;
+  for (std::size_t index = static_cast<std::size_t>(shard_index); index < spec.total_points();
+       index += static_cast<std::size_t>(shard_count)) {
+    FleetPointOutcome o;
+    o.index = index;
+    o.chip = static_cast<int>(index % chips);
+    o.workload_index = (index / chips) % workload_count;
+    o.policy_index = index / chips / workload_count;
+    RunnerOptions options = spec.runner;
+    options.initial_vths = sample_network_vths(noc_config_of(spec.scenario),
+                                               pv_config_of(spec.scenario),
+                                               fleet_chip_seed(spec.scenario, o.chip));
+    const RunResult run = run_experiment(spec.scenario, spec.policies[o.policy_index],
+                                         spec.workloads[o.workload_index].workload, options);
+    std::vector<double> lifetimes;
+    for (const auto& [key, port] : run.ports) {
+      for (std::size_t v = 0; v < port.duty_percent.size(); ++v) {
+        nbti::BufferAgingInput input;
+        input.initial_vth_v = port.initial_vth_v[v];
+        input.alpha = port.duty_percent[v] / 100.0;
+        lifetimes.push_back(forecaster.lifetime_years(input, spec.dvth_budget_v, spec.max_years));
+        o.worst_duty_percent = std::max(o.worst_duty_percent, port.duty_percent[v]);
+      }
+    }
+    std::sort(lifetimes.begin(), lifetimes.end());
+    const auto over = static_cast<std::size_t>(
+        std::ceil(spec.failure_fraction * static_cast<double>(lifetimes.size())));
+    o.failure_years = lifetimes[std::max<std::size_t>(over, 1) - 1];
+    shard.outcomes.push_back(o);
+  }
+  return shard;
+}
+
+// Sensor-less groups (baseline, rr-no-sensor, rr-slot) run once per shard
+// and reduce per chip; the partials and the merged report must equal the
+// per-chip oracle byte for byte, with and without a fault plan, for every
+// shard split — and the shard must make exactly one run per sensor-less
+// group it touches plus one per sensor-reading point.
+TEST(Fleet, SharedSensorlessRunsMatchPerChipOracle) {
+  struct Case {
+    const char* name;
+    const char* buffer_org;
+    std::vector<PolicyKind> policies;
+  };
+  const std::vector<Case> cases = {
+      {"partitioned", "partitioned",
+       {PolicyKind::kBaseline, PolicyKind::kRrNoSensor, PolicyKind::kSensorWise}},
+      {"shared", "shared", {PolicyKind::kBaseline, PolicyKind::kRrSlot,
+                            PolicyKind::kSensorWiseSlotMd}},
+  };
+  sim::FaultPlan storm = sim::FaultPlan::uniform(0.05, 7);
+  sim::StructuralFault link_kill;
+  link_kill.router = 4;
+  link_kill.port = static_cast<int>(noc::Dir::East);
+  link_kill.cycle = 700;
+  storm.structural.push_back(link_kill);
+
+  for (const Case& c : cases) {
+    for (const bool faulted : {false, true}) {
+      FleetSpec spec;
+      spec.scenario = sim::Scenario::synthetic(3, 3, 0.15);
+      spec.scenario.buffer_org = c.buffer_org;
+      spec.scenario.warmup_cycles = 200;
+      spec.scenario.measure_cycles = 1'200;
+      spec.policies = c.policies;
+      Workload transpose = Workload::synthetic(traffic::PatternKind::kTranspose);
+      transpose.seed_salt = 3;
+      spec.workloads = {{"uniform", Workload::synthetic()}, {"transpose", transpose}};
+      spec.chips = 4;
+      if (faulted) spec.runner.faults = storm;
+      const std::string label = std::string(c.name) + (faulted ? " +faults" : "");
+
+      for (const int shard_count : {1, 3}) {
+        std::vector<FleetShardResult> shards;
+        std::vector<FleetShardResult> oracles;
+        for (int i = 0; i < shard_count; ++i) {
+          shards.push_back(run_fleet_shard(spec, i, shard_count, 2));
+          oracles.push_back(per_chip_shard(spec, i, shard_count));
+          EXPECT_EQ(serialize_fleet_shard(shards.back()), serialize_fleet_shard(oracles.back()))
+              << label << ", shard " << i << "/" << shard_count;
+
+          // One run per sensor-less group with points here, one per
+          // sensor-reading point.
+          std::vector<bool> seen(spec.policies.size() * spec.workloads.size(), false);
+          std::size_t expected_runs = 0;
+          for (const FleetPointOutcome& o : shards.back().outcomes) {
+            const std::size_t group = o.policy_index * spec.workloads.size() + o.workload_index;
+            if (reads_sensors(spec.policies[o.policy_index])) {
+              ++expected_runs;
+            } else if (!seen[group]) {
+              seen[group] = true;
+              ++expected_runs;
+            }
+          }
+          EXPECT_EQ(shards.back().simulated_runs, expected_runs)
+              << label << ", shard " << i << "/" << shard_count;
+        }
+        EXPECT_EQ(merge_fleet_shards(spec, shards).to_json(),
+                  merge_fleet_shards(spec, oracles).to_json())
+            << label << ", " << shard_count << "-way split";
+      }
+    }
+  }
+}
+
 // Chip silicon is sampled on the scenario's own network, so fleets run on
 // every topology and buffer organization, not just the partitioned mesh.
 FleetReport tiny_fleet(sim::Scenario scenario, std::vector<PolicyKind> policies) {
@@ -245,6 +366,41 @@ TEST(Fleet, DigestSeparatesBufferAndPipelineShape) {
   try {
     merge_fleet_shards(base, {a, b});
     FAIL() << "a deeper-buffer shard merged into the default fleet";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("different fleet configuration"), std::string::npos);
+  }
+}
+
+// The fleet digest names a fault plan when one is set, and spells a value
+// exactly when std::to_string's six decimals cannot tell it apart; digests
+// without a plan and with round-tripping values keep their bytes.
+TEST(Fleet, DigestNamesFaultPlanAndExactValues) {
+  const FleetSpec base = small_spec();
+  const std::string base_digest = fleet_digest(base);
+  EXPECT_EQ(base_digest.find(" faults="), std::string::npos);
+  EXPECT_EQ(base_digest.find('['), std::string::npos);
+  EXPECT_NE(base_digest.find(" rate=0.200000 "), std::string::npos) << base_digest;
+
+  FleetSpec coarse = small_spec();
+  coarse.scenario.injection_rate = 0.05;
+  FleetSpec fine = small_spec();
+  fine.scenario.injection_rate = 0.0500001;
+  EXPECT_NE(fleet_digest(coarse), fleet_digest(fine));
+  EXPECT_NE(fleet_digest(fine).find("[0.050000099999999999]"), std::string::npos)
+      << fleet_digest(fine);
+  FleetSpec budget = small_spec();
+  budget.dvth_budget_v = 0.0300001;
+  EXPECT_NE(fleet_digest(budget), base_digest);
+
+  // A merge refuses a shard made under another fault plan.
+  FleetSpec weak = small_spec();
+  weak.runner.faults = sim::FaultPlan::uniform(0.02);
+  FleetSpec strong = small_spec();
+  strong.runner.faults = sim::FaultPlan::uniform(0.2);
+  EXPECT_NE(fleet_digest(weak), base_digest);
+  try {
+    merge_fleet_shards(weak, {run_fleet_shard(weak, 0, 2, 1), run_fleet_shard(strong, 1, 2, 1)});
+    FAIL() << "a shard made under uniform(0.2) merged into a uniform(0.02) fleet";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("different fleet configuration"), std::string::npos);
   }

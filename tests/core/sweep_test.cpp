@@ -144,6 +144,29 @@ TEST(SweepRunner, ProgressReportsEveryPointExactlyOnce) {
   }
 }
 
+// Points are claimed longest-first by (warmup + measure) × routers, ties
+// in grid order; the serial path's progress order shows the claim order,
+// and the results stay in grid order whatever the claim order.
+TEST(SweepRunner, ClaimsLongestPointsFirst) {
+  sim::Scenario longer = tiny(2, 2, 0.10);
+  longer.measure_cycles = 9'000;
+  SweepOptions options;
+  options.workers = 1;
+  std::vector<std::size_t> claimed;
+  options.on_progress = [&](const SweepProgress& p) { claimed.push_back(p.point_index); };
+  SweepRunner sweep(std::move(options));
+  sweep.add(tiny(2, 2, 0.05), PolicyKind::kSensorWise, Workload::synthetic(), "a");  // 4 x 6k
+  sweep.add(tiny(3, 2, 0.05), PolicyKind::kSensorWise, Workload::synthetic(), "b");  // 9 x 6k
+  sweep.add(longer, PolicyKind::kSensorWise, Workload::synthetic(), "c");            // 4 x 10k
+  sweep.add(tiny(2, 4, 0.05), PolicyKind::kSensorWise, Workload::synthetic(), "d");  // 4 x 6k
+  sweep.add(tiny(3, 2, 0.10), PolicyKind::kRrNoSensor, Workload::synthetic(), "e");  // 9 x 6k
+  const SweepResult results = sweep.run();
+  EXPECT_EQ(claimed, (std::vector<std::size_t>{1, 4, 2, 0, 3}));
+  ASSERT_EQ(results.size(), 5u);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(results[i].point.label, std::string(1, static_cast<char>('a' + i)));
+}
+
 TEST(SweepRunner, EffectiveWorkersClampsToGridAndHardware) {
   SweepOptions options;
   options.workers = 64;

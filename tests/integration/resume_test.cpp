@@ -409,6 +409,42 @@ TEST(ResumeValidation, DigestsNameClockTechAndPhitShape) {
   }
 }
 
+// The snapshot digest names the whole fault plan (every rate exactly, the
+// targets and the sorted kills) and spells an injection rate exactly when
+// six decimals cannot, so a resume under another plan or a nearby rate is
+// refused instead of silently diverging.
+TEST(ResumeValidation, DigestNamesFaultPlanAndExactRate) {
+  const sim::Scenario s = small_scenario();
+  RunnerOptions saved;
+  saved.faults = sim::FaultPlan::uniform(0.02);
+  sim::StructuralFault kill;
+  kill.router = 0;
+  kill.port = static_cast<int>(noc::Dir::East);
+  kill.cycle = 3'000;
+  saved.faults.structural.push_back(kill);
+  const std::string bytes = snapshot_of(s, saved, 1'000);
+
+  const auto resume = [&](const sim::Scenario& scenario, RunnerOptions options) {
+    options.resume_from = bytes;
+    return run_experiment(scenario, PolicyKind::kSensorWise, Workload::synthetic(), options);
+  };
+  EXPECT_NO_THROW(resume(s, saved));
+
+  RunnerOptions stronger = saved;
+  stronger.faults = sim::FaultPlan::uniform(0.2);
+  stronger.faults.structural = saved.faults.structural;
+  EXPECT_THROW(resume(s, stronger), sim::SnapshotError) << "uniform(0.2)";
+  RunnerOptions retargeted = saved;
+  retargeted.faults.targets = {{1, static_cast<int>(noc::Dir::West)}};
+  EXPECT_THROW(resume(s, retargeted), sim::SnapshotError) << "targets";
+  RunnerOptions later_kill = saved;
+  later_kill.faults.structural[0].cycle = 3'500;
+  EXPECT_THROW(resume(s, later_kill), sim::SnapshotError) << "kill cycle";
+  sim::Scenario nearby = s;
+  nearby.injection_rate = 0.0500001;
+  EXPECT_THROW(resume(nearby, saved), sim::SnapshotError) << "rate 0.0500001";
+}
+
 TEST(ResumeValidation, BadRunnerOptionCombinationsAreRejected) {
   const sim::Scenario s = small_scenario();
   RunnerOptions options;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace nbtinoc::sim {
@@ -56,6 +57,42 @@ TEST(FaultPlan, UniformIsValidAcrossTheWholeRange) {
     EXPECT_NO_THROW(plan.validate()) << "rate " << rate;
     EXPECT_EQ(plan.enabled(), rate > 0.0);
   }
+}
+
+TEST(FaultPlan, DigestNamesEveryFieldExactly) {
+  const FaultPlan base = FaultPlan::uniform(0.02, 5);
+  const std::string d = base.digest();
+  EXPECT_EQ(d.find(' '), std::string::npos) << d;
+  EXPECT_EQ(d, FaultPlan::uniform(0.02, 5).digest());
+  const auto differs = [&](const char* field, auto&& change) {
+    FaultPlan p = base;
+    change(p);
+    EXPECT_NE(p.digest(), d) << field;
+  };
+  differs("seed_salt", [](FaultPlan& p) { p.seed_salt = 6; });
+  differs("sensor_stuck_rate", [](FaultPlan& p) { p.sensor_stuck_rate = 0.0200001; });
+  differs("sensor_drift_rate", [](FaultPlan& p) { p.sensor_drift_rate = 0.03; });
+  differs("sensor_death_rate", [](FaultPlan& p) { p.sensor_death_rate = 0.03; });
+  differs("sensor_repair_rate", [](FaultPlan& p) { p.sensor_repair_rate = 0.03; });
+  differs("drift_step_v", [](FaultPlan& p) { p.drift_step_v = 0.003; });
+  differs("dead_reading_v", [](FaultPlan& p) { p.dead_reading_v = 0.5; });
+  differs("gate_cmd_drop_rate", [](FaultPlan& p) { p.gate_cmd_drop_rate = 0.03; });
+  differs("gate_cmd_flip_rate", [](FaultPlan& p) { p.gate_cmd_flip_rate = 0.03; });
+  differs("down_up_drop_rate", [](FaultPlan& p) { p.down_up_drop_rate = 0.03; });
+  differs("wake_fail_rate", [](FaultPlan& p) { p.wake_fail_rate = 0.03; });
+  differs("targets", [](FaultPlan& p) { p.targets = {{1, 2}}; });
+  differs("structural", [](FaultPlan& p) { p.structural.push_back({100, 1, 2}); });
+
+  // Kills are named in (cycle, router, port) order, however the plan lists
+  // them.
+  FaultPlan ab = base;
+  ab.structural = {{100, 1, 2}, {50, 3, StructuralFault::kWholeRouter}};
+  FaultPlan ba = base;
+  ba.structural = {{50, 3, StructuralFault::kWholeRouter}, {100, 1, 2}};
+  EXPECT_EQ(ab.digest(), ba.digest());
+  FaultPlan later = ab;
+  later.structural[0].cycle = 150;
+  EXPECT_NE(later.digest(), ab.digest());
 }
 
 TEST(FaultInjector, ZeroRatePlanNeverFires) {

@@ -43,5 +43,18 @@ TEST(Strings, Join) {
   EXPECT_EQ(join({"only"}, ","), "only");
 }
 
+TEST(Strings, ExactAndDigestDoubles) {
+  EXPECT_EQ(exact_double(0.1), "0.10000000000000001");
+  EXPECT_EQ(exact_double(30.0), "30");
+  // Six decimals that read back keep their std::to_string bytes.
+  EXPECT_EQ(digest_double(0.2), "0.200000");
+  EXPECT_EQ(digest_double(0.05), "0.050000");
+  EXPECT_EQ(digest_double(30.0), "30.000000");
+  // Otherwise the exact spelling follows, so nearby values differ.
+  EXPECT_EQ(digest_double(0.0500001), "0.050000[0.050000099999999999]");
+  EXPECT_NE(digest_double(0.05), digest_double(0.0500001));
+  EXPECT_NE(digest_double(1e-9), digest_double(2e-9));
+}
+
 }  // namespace
 }  // namespace nbtinoc::util
